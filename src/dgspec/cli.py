@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .classify import classify_lower_equality, classify_upper_equality
 from .digraph import Digraph, degree_profile, gen_cycle, gen_kbip, gen_path, gen_random, new_digraph
 from .energy import energy_report
-from .errors import (
-    BadParameterError,
-    DuplicateArcError,
-    LoopArcError,
-    OutOfRangeError,
-    ParseError,
-)
+from .errors import BadParameterError, DgspecError, DuplicateArcError, LoopArcError, OutOfRangeError, ParseError
 from .hermitian import double
 from .oracle import sweep
 from .randic import bounds_certificate, randic_index
@@ -147,9 +142,13 @@ def report_data(G: Digraph, which: str, tol: float = 1e-9) -> dict:
     return data
 
 
+def _dump_json(data: dict) -> str:
+    return json.dumps(_round_reals(data), indent=2)
+
+
 def emit_report(G: Digraph, which: str, tol: float = 1e-9) -> str:
     """The report for one subcommand as deterministic JSON text."""
-    return json.dumps(_round_reals(report_data(G, which, tol)), indent=2)
+    return _dump_json(report_data(G, which, tol))
 
 
 def render_text(data: dict) -> str:
@@ -166,10 +165,7 @@ def _read_graph(path: str) -> Digraph:
 
 
 def _print_data(data: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(_round_reals(data), indent=2))
-    else:
-        print(render_text(data))
+    print(_dump_json(data) if fmt == "json" else render_text(data))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -248,17 +244,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise BadParameterError(f"--tol must be finite and >= 0, got {args.tol}")
+        if getattr(args, "jobs", 1) < 1:
+            raise BadParameterError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
-    except (
-        ParseError,
-        LoopArcError,
-        DuplicateArcError,
-        OutOfRangeError,
-        BadParameterError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DgspecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,7 +4,8 @@ eigendecomposition, PSD matrix square root, singular values.
 Matrices are plain float64 numpy arrays (row-major).  The eigensolver is
 LAPACK's symmetric driver behind a checked contract: symmetry is validated on
 entry and the achieved off-diagonal residual of ``Q^T S Q`` is validated
-against the requested tolerance on exit.
+against the requested tolerance on exit.  Eigenvector signs are left as
+LAPACK returns them; they cancel exactly in ``Q f(L) Q^T`` and the residual.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ DEFAULT_EIG_TOL = 1e-12
 class SymEigen:
     """Symmetric eigendecomposition: descending eigenvalues, orthogonal basis.
 
-    ``basis`` holds eigenvectors as columns, each sign-normalized so its
-    first non-negligible entry is positive.  ``off_norm`` is the achieved
-    relative off-diagonal Frobenius residual of ``basis.T @ S @ basis``.
+    ``basis`` holds eigenvectors as columns, with no normalization of their
+    signs.  ``off_norm`` is the achieved relative off-diagonal Frobenius
+    residual of ``basis.T @ S @ basis``.
     """
 
     eigenvalues: np.ndarray
@@ -86,13 +87,6 @@ def sym_eigen(S: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> SymEigen:
     eigenvalues = eigenvalues[order]
     basis = basis[:, order]
 
-    # deterministic column signs: first entry of visible magnitude positive
-    for k in range(basis.shape[1]):
-        col = basis[:, k]
-        lead = np.flatnonzero(np.abs(col) > 1e-8)
-        if lead.size and col[lead[0]] < 0.0:
-            basis[:, k] = -col
-
     residual = basis.T @ S @ basis
     off = residual - np.diag(np.diag(residual))
     fro = float(np.linalg.norm(S))
@@ -120,19 +114,24 @@ def _clamped_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
     return clamped
 
 
-def psd_sqrt(S: np.ndarray) -> np.ndarray:
-    """The symmetric PSD square root Q sqrt(L) Q^T of a symmetric PSD matrix.
-
-    Eigenvalues below -1e-9 raise NotPSDError; eigenvalues inside the
-    roundoff window are clamped to zero before the square root.
-    """
+def _psd_root(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sqrt(L), Q sqrt(L) Q^T) for S = Q L Q^T from one eigensolve; see psd_sqrt."""
     eig = sym_eigen(S)
     if eig.eigenvalues.size and float(eig.eigenvalues[-1]) < PSD_TOL:
         raise NotPSDError(
             f"eigenvalue {eig.eigenvalues[-1]:.3e} below PSD tolerance {PSD_TOL:.0e}"
         )
     root = np.sqrt(_clamped_spectrum(eig.eigenvalues))
-    return (eig.basis * root) @ eig.basis.T
+    return root, (eig.basis * root) @ eig.basis.T
+
+
+def psd_sqrt(S: np.ndarray) -> np.ndarray:
+    """The symmetric PSD square root Q sqrt(L) Q^T of a symmetric PSD matrix.
+
+    Eigenvalues below -1e-9 raise NotPSDError; eigenvalues inside the
+    roundoff window are clamped to zero before the square root.
+    """
+    return _psd_root(S)[1]
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:

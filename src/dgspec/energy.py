@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .densela import adjacency, gram_in, gram_out, psd_sqrt, singular_values
+from .densela import _psd_root, adjacency, gram_in, gram_out, psd_sqrt
 from .digraph import Digraph, degree_profile
 from .errors import NoSuchArcError
 
@@ -57,11 +57,15 @@ class VertexBoundCheck:
     violation: bool
 
 
+# bounds_certificate, the vertex and arc checks and edge_energy re-request the
+# report of a graph just reported on; the cache shares one decomposition.
 @lru_cache(maxsize=1024)
 def _report(G: Digraph) -> EnergyReport:
     A = adjacency(G)
-    sigma = singular_values(A)
-    vertex_out = np.maximum(np.diag(psd_sqrt(gram_out(A))), 0.0)
+    # sigma is the root spectrum of A A^T: one eigensolve gives it and E+
+    sigma, root = _psd_root(gram_out(A))
+    vertex_out = np.maximum(np.diag(root), 0.0)
+    del root  # free the n x n root before the second eigensolve
     vertex_in = np.maximum(np.diag(psd_sqrt(gram_in(A))), 0.0)
     for arr in (sigma, vertex_out, vertex_in):
         arr.setflags(write=False)

@@ -1,39 +1,43 @@
 """Exception types shared across the package."""
 
 
-class OutOfRangeError(ValueError):
+class DgspecError(Exception):
+    """Base of every error the package raises on bad input or a failed kernel."""
+
+
+class OutOfRangeError(DgspecError, ValueError):
     """A vertex label lies outside 0..n-1."""
 
 
-class LoopArcError(ValueError):
+class LoopArcError(DgspecError, ValueError):
     """An arc (v, v) was supplied; graphs here are loop-free."""
 
 
-class DuplicateArcError(ValueError):
+class DuplicateArcError(DgspecError, ValueError):
     """The same arc appeared twice in an edge-list document."""
 
 
-class BadParameterError(ValueError):
+class BadParameterError(DgspecError, ValueError):
     """A generator or enumeration parameter violates its precondition."""
 
 
-class NotSymmetricError(ValueError):
+class NotSymmetricError(DgspecError, ValueError):
     """A matrix expected to be symmetric is not."""
 
 
-class NotPSDError(ValueError):
+class NotPSDError(DgspecError, ValueError):
     """A matrix expected to be positive semidefinite has a negative eigenvalue."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(DgspecError, RuntimeError):
     """The eigensolver did not reach the requested off-diagonal residual."""
 
 
-class NoSuchArcError(ValueError):
+class NoSuchArcError(DgspecError, ValueError):
     """An arc-indexed operation was asked about an arc the graph lacks."""
 
 
-class ParseError(ValueError):
+class ParseError(DgspecError, ValueError):
     """Edge-list text is malformed; carries the offending line number."""
 
     def __init__(self, lineno: int, reason: str):

@@ -6,7 +6,15 @@ import pytest
 
 from dgspec import gen_cycle, gen_kbip, new_digraph
 from dgspec.cli import emit_report, main, parse_edge_list, render_text, serialize_edge_list
-from dgspec.errors import DuplicateArcError, LoopArcError, OutOfRangeError, ParseError
+from dgspec.errors import (
+    DuplicateArcError,
+    LoopArcError,
+    NoConvergenceError,
+    NotPSDError,
+    NotSymmetricError,
+    OutOfRangeError,
+    ParseError,
+)
 
 
 def test_parse_digon_triangle(digon_triangle):
@@ -131,11 +139,34 @@ def test_main_missing_file_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_main_parse_error_exits_2(tmp_path, capsys):
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_main_parse_error_exits_2(tmp_path, monkeypatch, capsys):
     path = tmp_path / "g.txt"
     path.write_text("0 0\n")
     assert main(["bounds", str(path)]) == 2
-    assert "loop" in capsys.readouterr().err
+    assert "loop" in assert_one_error_line(capsys)
+
+    binary = tmp_path / "g.bin"
+    binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe 0 1\n")
+    assert main(["energy", str(binary)]) == 2
+    assert_one_error_line(capsys)
+
+    # kernel failures cannot be provoked from a valid edge list, so fake them
+    path.write_text("0 1\n")
+    for exc in (NotPSDError("indefinite"), NoConvergenceError("stalled"), NotSymmetricError("asym")):
+
+        def failing(*args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr("dgspec.cli.report_data", failing)
+        assert main(["energy", str(path)]) == 2
+        assert str(exc) in assert_one_error_line(capsys)
 
 
 def test_main_usage_error_exits_2(capsys):
@@ -143,6 +174,16 @@ def test_main_usage_error_exits_2(capsys):
     assert main(["gen", "kbip", "2"]) == 2
     assert main(["gen", "random", "5", "nope", "3"]) == 2
     capsys.readouterr()
+    for argv in (
+        ["bounds", "--tol", "nan", "-"],
+        ["bounds", "--tol", "-1", "-"],
+        ["sweep", "--max-n", "3", "--tol", "-1"],
+        ["sweep", "--max-n", "2", "--tol", "inf"],
+        ["sweep", "--max-n", "2", "--jobs", "0"],
+        ["sweep", "--max-n", "2", "--jobs", "-3"],
+    ):
+        assert main(argv) == 2, argv
+        assert_one_error_line(capsys)
 
 
 def test_main_gen_cycle(capsys):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import dgspec.densela
 from dgspec import (
+    adjacency,
     adjacent_pair_check,
     degree_profile,
     edge_energy,
@@ -12,11 +14,14 @@ from dgspec import (
     gen_cycle,
     gen_kbip,
     gen_path,
+    gen_random,
     mcclelland_bound,
     new_digraph,
     reverse,
+    singular_values,
     vertex_degree_bound_check,
 )
+from dgspec.energy import _report
 from dgspec.errors import NoSuchArcError
 
 from _oracles import sqrt_2x2_spd
@@ -129,9 +134,14 @@ def test_mcclelland_edgeless():
 
 
 def test_exhaustive_small_graph_energy_invariants():
+    # sigma shares the eigensolve of A A^T with E+, yet must equal the
+    # stand-alone singular_values bit for bit
+    for G in [gen_random(n, p, 7) for n in (9, 40) for p in (0.1, 0.5)]:
+        assert np.array_equal(energy_report(G).sigma, singular_values(adjacency(G)))
     for n in range(1, 5):
         for G in enumerate_digraphs(n):
             rep = energy_report(G)
+            assert np.array_equal(rep.sigma, singular_values(adjacency(G)))
             deg = degree_profile(G)
             assert abs(float(rep.vertex_out.sum() - rep.vertex_in.sum())) <= 1e-9
             for v in range(G.n):
@@ -145,3 +155,17 @@ def test_exhaustive_small_graph_energy_invariants():
             out_sum, in_sum, root_an = mcclelland_bound(G)
             assert rep.total <= min(out_sum, in_sum) + 1e-9
             assert max(out_sum, in_sum) <= root_an + 1e-9
+
+
+def test_uncached_report_runs_two_eigensolves(monkeypatch):
+    calls = []
+    real = dgspec.densela.sym_eigen
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dgspec.densela, "sym_eigen", counting)
+    _report.cache_clear()
+    energy_report(gen_random(12, 0.3, 5))
+    assert calls == [(12, 12), (12, 12)]
