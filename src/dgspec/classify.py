@@ -145,7 +145,7 @@ def classify_component(G: Digraph, vertices) -> ComponentKind:
     """
     verts = sorted(set(vertices))
     vset = set(verts)
-    arcs = [(u, v) for u, v in G.arcs if u in vset and v in vset]
+    arcs = [(u, v) for u in verts for v in G.out_neighbors(u) if v in vset]
     if len(verts) == 1 and not arcs:
         return ComponentKind(ComponentTag.ISOLATED_VERTEX, (verts[0],))
     succ: dict[int, list[int]] = {v: [] for v in verts}

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .classify import classify_lower_equality, classify_upper_equality
-from .digraph import Digraph, degree_profile, gen_cycle, gen_kbip, gen_path, gen_random, new_digraph
+from .digraph import Digraph, degree_profile, gen_cycle, gen_kbip, gen_path, gen_random
 from .energy import energy_report
 from .errors import BadParameterError, DgspecError, DuplicateArcError, LoopArcError, OutOfRangeError, ParseError
 from .hermitian import double
@@ -32,7 +32,6 @@ REPORT_KINDS = ("energy", "randic", "bounds", "double", "classify")
 def parse_edge_list(text: str) -> Digraph:
     """Parse edge-list text into a digraph, reporting line-accurate errors."""
     declared_n: int | None = None
-    arcs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     max_label = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -43,7 +42,7 @@ def parse_edge_list(text: str) -> Digraph:
         if tokens[0] == "n":
             if declared_n is not None:
                 raise ParseError(lineno, "duplicate 'n' directive")
-            if arcs:
+            if seen:
                 raise ParseError(lineno, "'n' directive must precede all arcs")
             if len(tokens) != 2 or not tokens[1].isdigit():
                 raise ParseError(lineno, "expected 'n <count>'")
@@ -66,10 +65,10 @@ def parse_edge_list(text: str) -> Digraph:
         if (u, v) in seen:
             raise DuplicateArcError(f"line {lineno}: duplicate arc ({u}, {v})")
         seen.add((u, v))
-        arcs.append((u, v))
         max_label = max(max_label, u, v)
     n = declared_n if declared_n is not None else max_label + 1
-    return new_digraph(n, arcs)
+    # every arc is checked above, so the graph needs no second validation pass
+    return Digraph(n, tuple(sorted(seen)))
 
 
 def serialize_edge_list(G: Digraph) -> str:

@@ -20,8 +20,9 @@ from .errors import NoConvergenceError, NotPSDError, NotSymmetricError
 # Matrices further from their transpose than this are refused.
 SYMMETRY_TOL = 1e-12
 
-# Eigenvalues below this are evidence of a genuinely indefinite matrix
-# rather than Gram-matrix roundoff.
+# Eigenvalues below this, and below the roundoff window n*eps*max of the
+# spectrum, are evidence of a genuinely indefinite matrix rather than
+# Gram-matrix roundoff.
 PSD_TOL = -1e-9
 
 # Default relative off-diagonal residual demanded of a decomposition.
@@ -98,38 +99,40 @@ def sym_eigen(S: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> SymEigen:
     return SymEigen(eigenvalues, basis, off_norm)
 
 
-def _clamped_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+def _clamped_spectrum(eigenvalues: np.ndarray) -> tuple[np.ndarray, float]:
     """Zero out eigenvalues that are roundoff artifacts of a PSD matrix.
 
-    Small negatives are Gram-matrix roundoff; tiny positives below the
-    numerical-rank threshold n*eps*max come from exact rank deficiency and
-    would otherwise inflate to ~1e-7 noise under the square root.
+    Returns the clamped copy and the roundoff window n*eps*max.  Small
+    negatives are Gram-matrix roundoff; tiny positives inside the window
+    come from exact rank deficiency and would otherwise inflate to ~1e-7
+    noise under the square root.
     """
     if eigenvalues.size == 0:
-        return eigenvalues.copy()
-    top = float(eigenvalues[0])
-    rank_eps = max(top, 0.0) * eigenvalues.size * np.finfo(float).eps
+        return eigenvalues.copy(), 0.0
+    window = max(float(eigenvalues[0]), 0.0) * eigenvalues.size * np.finfo(float).eps
     clamped = eigenvalues.copy()
-    clamped[clamped <= rank_eps] = 0.0
-    return clamped
+    clamped[clamped <= window] = 0.0
+    return clamped, window
 
 
 def _psd_root(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sqrt(L), Q sqrt(L) Q^T) for S = Q L Q^T from one eigensolve; see psd_sqrt."""
     eig = sym_eigen(S)
-    if eig.eigenvalues.size and float(eig.eigenvalues[-1]) < PSD_TOL:
-        raise NotPSDError(
-            f"eigenvalue {eig.eigenvalues[-1]:.3e} below PSD tolerance {PSD_TOL:.0e}"
-        )
-    root = np.sqrt(_clamped_spectrum(eig.eigenvalues))
+    clamped, window = _clamped_spectrum(eig.eigenvalues)
+    # roundoff grows with the spectrum's scale, so the floor widens with the window
+    floor = min(PSD_TOL, -window)
+    if eig.eigenvalues.size and float(eig.eigenvalues[-1]) < floor:
+        raise NotPSDError(f"eigenvalue {eig.eigenvalues[-1]:.3e} below PSD floor {floor:.3e}")
+    root = np.sqrt(clamped)
     return root, (eig.basis * root) @ eig.basis.T
 
 
 def psd_sqrt(S: np.ndarray) -> np.ndarray:
     """The symmetric PSD square root Q sqrt(L) Q^T of a symmetric PSD matrix.
 
-    Eigenvalues below -1e-9 raise NotPSDError; eigenvalues inside the
-    roundoff window are clamped to zero before the square root.
+    Eigenvalues below min(-1e-9, -n*eps*max) raise NotPSDError; eigenvalues
+    inside the roundoff window n*eps*max are clamped to zero before the
+    square root.
     """
     return _psd_root(S)[1]
 
@@ -145,4 +148,4 @@ def singular_values(A: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-d matrix, got ndim={A.ndim}")
     S = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
     eig = sym_eigen(S)
-    return np.sqrt(_clamped_spectrum(eig.eigenvalues))
+    return np.sqrt(_clamped_spectrum(eig.eigenvalues)[0])

@@ -3,7 +3,7 @@ connectivity, and the named generators used throughout the package.
 
 Vertices are dense integers 0..n-1.  Arcs are stored as a sorted tuple of
 ordered pairs, so a ``Digraph`` is immutable, hashable and cheap to compare;
-adjacency structure is materialized lazily.
+adjacency structure and the degree profile are materialized lazily, once.
 """
 
 from __future__ import annotations
@@ -22,6 +22,15 @@ class Digraph:
     n: int
     arcs: tuple[tuple[int, int], ...]
 
+    # the energy memo looks a graph up on every request, so hashing the arc
+    # tuple each time would make per-arc queries O(m^2) over a graph
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.arcs))
+
     @cached_property
     def _arc_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.arcs)
@@ -39,6 +48,16 @@ class Digraph:
         for u, v in self.arcs:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def _degrees(self) -> DegreeProfile:
+        out_deg = [0] * self.n
+        in_deg = [0] * self.n
+        for u, v in self.arcs:
+            out_deg[u] += 1
+            in_deg[v] += 1
+        max_deg = max(max(out_deg, default=0), max(in_deg, default=0))
+        return DegreeProfile(tuple(out_deg), tuple(in_deg), max_deg, len(self.arcs))
 
     @property
     def arc_count(self) -> int:
@@ -91,14 +110,11 @@ def new_digraph(n: int, arcs) -> Digraph:
 
 
 def degree_profile(G: Digraph) -> DegreeProfile:
-    """Per-vertex out/in degrees, the maximum over both, and the arc count."""
-    out_deg = [0] * G.n
-    in_deg = [0] * G.n
-    for u, v in G.arcs:
-        out_deg[u] += 1
-        in_deg[v] += 1
-    max_deg = max(max(out_deg, default=0), max(in_deg, default=0))
-    return DegreeProfile(tuple(out_deg), tuple(in_deg), max_deg, len(G.arcs))
+    """Per-vertex out/in degrees, the maximum over both, and the arc count.
+
+    Built once per graph on first request and freed with it.
+    """
+    return G._degrees
 
 
 def reverse(G: Digraph) -> Digraph:

@@ -9,8 +9,8 @@ total energy, which also equals the sum of the singular values of A.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,9 +58,16 @@ class VertexBoundCheck:
 
 
 # bounds_certificate, the vertex and arc checks and edge_energy re-request the
-# report of a graph just reported on; the cache shares one decomposition.
-@lru_cache(maxsize=1024)
-def _report(G: Digraph) -> EnergyReport:
+# report of a graph just reported on; an entry shares one decomposition among
+# them and dies with its graph, so the memo never keeps a graph alive.
+_reports: weakref.WeakKeyDictionary[Digraph, EnergyReport] = weakref.WeakKeyDictionary()
+
+
+def energy_report(G: Digraph) -> EnergyReport:
+    """Full energy report of a digraph (computed once per graph; arrays are read-only)."""
+    rep = _reports.get(G)
+    if rep is not None:
+        return rep
     A = adjacency(G)
     # sigma is the root spectrum of A A^T: one eigensolve gives it and E+
     sigma, root = _psd_root(gram_out(A))
@@ -69,12 +76,8 @@ def _report(G: Digraph) -> EnergyReport:
     vertex_in = np.maximum(np.diag(psd_sqrt(gram_in(A))), 0.0)
     for arr in (sigma, vertex_out, vertex_in):
         arr.setflags(write=False)
-    return EnergyReport(sigma, float(sigma.sum()), vertex_out, vertex_in)
-
-
-def energy_report(G: Digraph) -> EnergyReport:
-    """Full energy report of a digraph (cached; arrays are read-only)."""
-    return _report(G)
+    rep = _reports[G] = EnergyReport(sigma, float(sigma.sum()), vertex_out, vertex_in)
+    return rep
 
 
 def edge_energy(G: Digraph, arc: tuple[int, int]) -> float:

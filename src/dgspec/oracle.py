@@ -236,8 +236,8 @@ def check_graph(G: Digraph, tol: float = 1e-9) -> CheckOutcome:
     return CheckOutcome(code_of(G), G.n, results)
 
 
-def _sweep_chunk(task: tuple[int, int, int, float]) -> dict:
-    """Check one contiguous code range for one vertex count."""
+def _sweep_chunk(task: tuple[int, int, int, float]) -> SweepSummary:
+    """Partial summary of one contiguous code range for one vertex count."""
     n, start, stop, tol = task
     passes = dict.fromkeys(PROPERTY_NAMES, 0)
     failures = []
@@ -256,40 +256,19 @@ def _sweep_chunk(task: tuple[int, int, int, float]) -> dict:
             min_product = min(min_product, prod + 1.0)
         min_lower = min(min_lower, outcome.results["lower_bound"].slack)
         min_upper = min(min_upper, outcome.results["upper_bound"].slack)
-    return {
-        "total": stop - start,
-        "passes": passes,
-        "failures": failures,
-        "min_product": min_product,
-        "min_lower": min_lower,
-        "min_upper": min_upper,
-    }
+    return SweepSummary(n, tol, stop - start, passes, tuple(failures), min_product, min_lower, min_upper)
 
 
-def _merge(max_n: int, tol: float, chunks: list[dict]) -> SweepSummary:
-    passes = dict.fromkeys(PROPERTY_NAMES, 0)
-    failures: list[tuple[int, int, str, str]] = []
-    total = 0
-    min_product = math.inf
-    min_lower = math.inf
-    min_upper = math.inf
-    for chunk in chunks:
-        total += chunk["total"]
-        for name in PROPERTY_NAMES:
-            passes[name] += chunk["passes"][name]
-        failures.extend(chunk["failures"])
-        min_product = min(min_product, chunk["min_product"])
-        min_lower = min(min_lower, chunk["min_lower"])
-        min_upper = min(min_upper, chunk["min_upper"])
+def _merge(max_n: int, tol: float, chunks: list[SweepSummary]) -> SweepSummary:
     return SweepSummary(
         max_n=max_n,
         tol=tol,
-        total=total,
-        pass_counts=passes,
-        failures=tuple(sorted(failures)),
-        min_pair_product=min_product,
-        min_lower_slack=min_lower,
-        min_upper_slack=min_upper,
+        total=sum(c.total for c in chunks),
+        pass_counts={name: sum(c.pass_counts[name] for c in chunks) for name in PROPERTY_NAMES},
+        failures=tuple(sorted(f for c in chunks for f in c.failures)),
+        min_pair_product=min(c.min_pair_product for c in chunks),
+        min_lower_slack=min(c.min_lower_slack for c in chunks),
+        min_upper_slack=min(c.min_upper_slack for c in chunks),
     )
 
 

@@ -113,8 +113,18 @@ def test_psd_sqrt_identity_and_diagonal():
 
 
 def test_psd_sqrt_rejects_indefinite():
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -1.0]))
+    # a wide roundoff window at scale 1e8 must not swallow a genuine -1
+    for S in (np.diag([1.0, -1.0]), np.diag([1e8, -1.0])):
+        with pytest.raises(NotPSDError):
+            psd_sqrt(S)
+
+
+def test_psd_sqrt_roundoff_floor_scales_with_spectrum():
+    # the zero eigenvalues of 1e8 J come back near -1.5e-8: roundoff inside
+    # the window n*eps*5e9, not indefiniteness
+    n, c = 50, 1e8
+    expected = math.sqrt(c / n) * np.ones((n, n))
+    assert np.allclose(psd_sqrt(c * np.ones((n, n))), expected, rtol=1e-12, atol=0.0)
 
 
 def test_singular_values_digon_triangle(digon_triangle):

@@ -51,6 +51,7 @@ def test_degree_profile_digon_triangle(digon_triangle):
     assert deg.in_deg == (1, 1, 2)
     assert deg.max_deg == 2
     assert deg.arc_count == 4
+    assert degree_profile(digon_triangle) is deg  # built once per graph
 
 
 def test_degree_profile_edgeless():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import dgspec.densela
 from dgspec import (
     adjacency,
     adjacent_pair_check,
+    bounds_certificate,
     degree_profile,
     edge_energy,
     energy_report,
@@ -21,7 +24,6 @@ from dgspec import (
     singular_values,
     vertex_degree_bound_check,
 )
-from dgspec.energy import _report
 from dgspec.errors import NoSuchArcError
 
 from _oracles import sqrt_2x2_spd
@@ -166,6 +168,19 @@ def test_uncached_report_runs_two_eigensolves(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dgspec.densela, "sym_eigen", counting)
-    _report.cache_clear()
-    energy_report(gen_random(12, 0.3, 5))
+    G = gen_random(12, 0.3, 5)
+    energy_report(G)
     assert calls == [(12, 12), (12, 12)]
+    # later requests on the same graph reuse its one decomposition
+    energy_report(G)
+    bounds_certificate(G)
+    assert calls == [(12, 12), (12, 12)]
+
+
+def test_report_is_freed_with_its_graph():
+    G = gen_random(30, 0.2, 11)
+    energy_report(G)
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
