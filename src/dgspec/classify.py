@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .digraph import Digraph, UnionFind, degree_profile, weak_components
+from .digraph import Digraph, degree_profile, weak_components
 
 
 class ComponentTag(enum.Enum):
@@ -73,22 +73,11 @@ def find_splitting(G: Digraph) -> Splitting | None:
     A splitting exists iff no component of the double contains both
     copies of one vertex (both non-isolated).
     """
-    deg = degree_profile(G)
-    uf = UnionFind(2 * G.n)
-    for u, v in G.arcs:
-        uf.union(u, G.n + v)
-    for i in range(G.n):
-        if deg.out_deg[i] and deg.in_deg[i] and uf.find(i) == uf.find(G.n + i):
-            return None
-    grouped: dict[int, list[tuple[int, int]]] = {}
-    for u, v in G.arcs:
-        grouped.setdefault(uf.find(u), []).append((u, v))
     parts = []
-    for arcs in grouped.values():
-        sources = tuple(sorted({u for u, _ in arcs}))
-        sinks = tuple(sorted({v for _, v in arcs}))
-        parts.append(SplitPart(sources, sinks, tuple(sorted(arcs))))
-    parts.sort(key=lambda p: p.sources[0])
+    for sources, sinks, arcs in G._double_components:
+        if not set(sources).isdisjoint(sinks):
+            return None
+        parts.append(SplitPart(sources, sinks, arcs))
     return Splitting(tuple(parts))
 
 

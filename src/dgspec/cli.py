@@ -44,7 +44,7 @@ def parse_edge_list(text: str) -> Digraph:
                 raise ParseError(lineno, "duplicate 'n' directive")
             if seen:
                 raise ParseError(lineno, "'n' directive must precede all arcs")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(lineno, "expected 'n <count>'")
             declared_n = int(tokens[1])
             continue

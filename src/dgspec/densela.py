@@ -1,6 +1,10 @@
 """Dense real linear algebra: adjacency and Gram matrices, symmetric
 eigendecomposition, PSD matrix square root, singular values.
 
+The energy report runs the Gram roots on one block of A at a time: the
+r x c submatrix of a non-complete component of the bipartite double.
+``adjacency`` builds the whole n x n matrix; only tests call it.
+
 Matrices are plain float64 numpy arrays (row-major).  The eigensolver is
 LAPACK's symmetric driver behind a checked contract: symmetry is validated on
 entry and the achieved off-diagonal residual of ``Q^T S Q`` is validated
@@ -44,7 +48,7 @@ class SymEigen:
 
 
 def adjacency(G: Digraph) -> np.ndarray:
-    """The n x n 0/1 adjacency matrix of a digraph (zero diagonal)."""
+    """The n x n 0/1 adjacency matrix of a digraph (zero diagonal); O(n^2) memory."""
     A = np.zeros((G.n, G.n))
     for u, v in G.arcs:
         A[u, v] = 1.0

@@ -3,7 +3,8 @@ connectivity, and the named generators used throughout the package.
 
 Vertices are dense integers 0..n-1.  Arcs are stored as a sorted tuple of
 ordered pairs, so a ``Digraph`` is immutable, hashable and cheap to compare;
-adjacency structure and the degree profile are materialized lazily, once.
+adjacency structure, the degree profile and the components of the
+bipartite double are materialized lazily, once.
 """
 
 from __future__ import annotations
@@ -59,6 +60,30 @@ class Digraph:
         max_deg = max(max(out_deg, default=0), max(in_deg, default=0))
         return DegreeProfile(tuple(out_deg), tuple(in_deg), max_deg, len(self.arcs))
 
+    @cached_property
+    def _double_components(self) -> tuple[DoubleComponent, ...]:
+        """Arc-carrying components of the bipartite double B(G), ordered by first source.
+
+        B(G) has an edge {u-, v+} per arc (u, v); a component's minus copies
+        are its sources and its plus copies its sinks, both sorted; its arcs
+        keep the sorted order of ``arcs``.  A vertex may be a source of one
+        component and a sink of another (or of the same one).
+        """
+        n = self.n
+        uf = UnionFind(2 * n)
+        for u, v in self.arcs:
+            uf.union(u, n + v)
+        root = [uf.find(x) for x in range(n)]
+        grouped: dict[int, list[tuple[int, int]]] = {}
+        for arc in self.arcs:  # share the arc tuples rather than copy them
+            grouped.setdefault(root[arc[0]], []).append(arc)
+        parts = [
+            (tuple(sorted({u for u, _ in arcs})), tuple(sorted({v for _, v in arcs})), tuple(arcs))
+            for arcs in grouped.values()
+        ]
+        parts.sort(key=lambda p: p[0][0])
+        return tuple(parts)
+
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
@@ -89,6 +114,10 @@ class DegreeProfile:
     in_deg: tuple[int, ...]
     max_deg: int
     arc_count: int
+
+
+# (sources, sinks, arcs) of one arc-carrying component of the bipartite double
+DoubleComponent = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
 
 
 def new_digraph(n: int, arcs) -> Digraph:

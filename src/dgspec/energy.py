@@ -4,6 +4,13 @@ energies, edge energy, and the adjacent-vertex and degree-bound checks.
 The outer energy of vertex v is the v-th diagonal entry of (A A^T)^(1/2);
 the inner energy comes from (A^T A)^(1/2).  Either diagonal sums to the
 total energy, which also equals the sum of the singular values of A.
+
+The report works per arc-carrying component of the bipartite double B(G):
+its sources index the rows and its sinks the columns of one block of A.  A
+complete block (every source joined to every sink: single arcs, stars,
+K(a, b)) has the closed form sigma = sqrt(rc), E+ = sqrt(c/r) on each of its
+r sources and E- = sqrt(r/c) on each of its c sinks.  Any other block runs
+the checked Gram-root kernel of ``densela`` on its own r x c matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import _psd_root, adjacency, gram_in, gram_out, psd_sqrt
+from .densela import _psd_root, gram_in, gram_out, psd_sqrt
 from .digraph import Digraph, degree_profile
 from .errors import NoSuchArcError
 
@@ -64,19 +71,43 @@ _reports: weakref.WeakKeyDictionary[Digraph, EnergyReport] = weakref.WeakKeyDict
 
 
 def energy_report(G: Digraph) -> EnergyReport:
-    """Full energy report of a digraph (computed once per graph; arrays are read-only)."""
+    """Full energy report of a digraph (computed once per graph; arrays are read-only).
+
+    Each block of A is decomposed on its own (see the module docstring), so
+    no n x n matrix is built.
+    """
     rep = _reports.get(G)
     if rep is not None:
         return rep
-    A = adjacency(G)
-    # sigma is the root spectrum of A A^T: one eigensolve gives it and E+
-    sigma, root = _psd_root(gram_out(A))
-    vertex_out = np.maximum(np.diag(root), 0.0)
-    del root  # free the n x n root before the second eigensolve
-    vertex_in = np.maximum(np.diag(psd_sqrt(gram_in(A))), 0.0)
+    vertex_out = np.zeros(G.n)
+    vertex_in = np.zeros(G.n)
+    values: list[float] = []
+    for sources, sinks, arcs in G._double_components:
+        r, c = len(sources), len(sinks)
+        if len(arcs) == r * c:
+            # an all-ones r x c block has rank 1: sigma = sqrt(rc) and its
+            # Gram roots are sqrt(rc) J / r and sqrt(rc) J / c
+            values.append(math.sqrt(r * c))
+            vertex_out[list(sources)] = math.sqrt(c / r)
+            vertex_in[list(sinks)] = math.sqrt(r / c)
+            continue
+        row = {v: i for i, v in enumerate(sources)}
+        col = {v: j for j, v in enumerate(sinks)}
+        B = np.zeros((r, c))
+        for u, v in arcs:
+            B[row[u], col[v]] = 1.0
+        # sigma is the root spectrum of B B^T: one eigensolve gives it and E+
+        block_sigma, root = _psd_root(gram_out(B))
+        vertex_out[list(sources)] = np.maximum(root.diagonal(), 0.0)
+        del root  # free the root before the second eigensolve
+        vertex_in[list(sinks)] = np.maximum(psd_sqrt(gram_in(B)).diagonal(), 0.0)
+        values.extend(block_sigma.tolist())
+    values.sort(reverse=True)
+    sigma = np.zeros(G.n)
+    sigma[: len(values)] = values
     for arr in (sigma, vertex_out, vertex_in):
         arr.setflags(write=False)
-    rep = _reports[G] = EnergyReport(sigma, float(sigma.sum()), vertex_out, vertex_in)
+    rep = _reports[G] = EnergyReport(sigma, math.fsum(values), vertex_out, vertex_in)
     return rep
 
 

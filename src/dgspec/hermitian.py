@@ -5,8 +5,9 @@ an edge {i-, j+} per arc (i, j).  Doubling transfers the invariants:
     2 E(G) = E(B(G))        2 R(G) = R(B(G))
 
 which this module verifies through genuinely independent code paths (the
-digraph side uses Gram square roots, the double side a full symmetric
-eigensolve of the 2n x 2n adjacency).
+digraph side decomposes each component of B(G) on its own, by closed form
+when it is complete and by Gram square roots otherwise; the double side runs
+one full symmetric eigensolve of the 2n x 2n adjacency).
 
 Vertex layout of the double: indices 0..n-1 are the minus copies, n..2n-1
 the plus copies, matching the block matrix [[0, M], [M^T, 0]].

@@ -35,7 +35,7 @@ def randic_index(G: Digraph) -> float:
     at least 1, so the sum is always well defined.
     """
     deg = degree_profile(G)
-    return 0.5 * sum(
+    return 0.5 * math.fsum(
         1.0 / math.sqrt(deg.out_deg[v] * deg.in_deg[w]) for v, w in G.arcs
     )
 

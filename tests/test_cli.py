@@ -1,11 +1,12 @@
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from dgspec import gen_cycle, gen_kbip, new_digraph
-from dgspec.cli import emit_report, main, parse_edge_list, render_text, serialize_edge_list
+from dgspec.cli import emit_report, main, parse_edge_list, render_text, report_data, serialize_edge_list
 from dgspec.errors import (
     DuplicateArcError,
     LoopArcError,
@@ -157,6 +158,11 @@ def test_main_parse_error_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["energy", str(binary)]) == 2
     assert_one_error_line(capsys)
 
+    # a superscript two is a digit to str.isdigit but not a count to int
+    path.write_bytes(b"n \xc2\xb2\n")
+    assert main(["energy", str(path)]) == 2
+    assert "expected 'n <count>'" in assert_one_error_line(capsys)
+
     # kernel failures cannot be provoked from a valid edge list, so fake them
     path.write_text("0 1\n")
     for exc in (NotPSDError("indefinite"), NoConvergenceError("stalled"), NotSymmetricError("asym")):
@@ -254,3 +260,27 @@ def test_reports_byte_stable(tmp_path, capsys):
         assert main(["classify", str(path)]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[2] == outputs[3]
+
+
+def test_reports_allocate_no_n_by_n_matrix():
+    # a dense 2000 x 2000 float matrix alone would take 32 MB; the JSON text
+    # is left out because its encoder's buffers are not the kernel's
+    G = new_digraph(2000, [(0, 1), (5, 1999), (1999, 7)])
+    tracemalloc.start()
+    try:
+        report_data(G, "energy")
+        report_data(G, "bounds")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_main_bounds_huge_label_is_one_block(monkeypatch, capsys):
+    # one arc on 100000 vertices: a single 1 x 1 block, not a 100000^2 matrix
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 99999\n"))
+    assert main(["bounds", "-"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = json.loads(captured.out)
+    assert data["n"] == 100000 and data["energy"] == 1.0 and data["lower_equal"]

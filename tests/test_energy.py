@@ -11,6 +11,7 @@ from dgspec import (
     adjacent_pair_check,
     bounds_certificate,
     degree_profile,
+    disjoint_union,
     edge_energy,
     energy_report,
     enumerate_digraphs,
@@ -21,9 +22,9 @@ from dgspec import (
     mcclelland_bound,
     new_digraph,
     reverse,
-    singular_values,
     vertex_degree_bound_check,
 )
+from dgspec.digraph import Digraph
 from dgspec.errors import NoSuchArcError
 
 from _oracles import sqrt_2x2_spd
@@ -135,15 +136,22 @@ def test_mcclelland_edgeless():
     assert mcclelland_bound(new_digraph(4, [])) == (0.0, 0.0, 0.0)
 
 
+def assert_matches_svd(G, atol=1e-11):
+    """The report against an independent SVD of the whole adjacency matrix."""
+    rep = energy_report(G)
+    U, s, Vt = np.linalg.svd(adjacency(G))
+    assert np.allclose(rep.sigma, s, rtol=0.0, atol=atol)
+    assert np.allclose(rep.vertex_out, (U**2) @ s, rtol=0.0, atol=atol)
+    assert np.allclose(rep.vertex_in, ((Vt**2).T) @ s, rtol=0.0, atol=atol)
+
+
 def test_exhaustive_small_graph_energy_invariants():
-    # sigma shares the eigensolve of A A^T with E+, yet must equal the
-    # stand-alone singular_values bit for bit
     for G in [gen_random(n, p, 7) for n in (9, 40) for p in (0.1, 0.5)]:
-        assert np.array_equal(energy_report(G).sigma, singular_values(adjacency(G)))
+        assert_matches_svd(G)
     for n in range(1, 5):
         for G in enumerate_digraphs(n):
             rep = energy_report(G)
-            assert np.array_equal(rep.sigma, singular_values(adjacency(G)))
+            assert_matches_svd(G)
             deg = degree_profile(G)
             assert abs(float(rep.vertex_out.sum() - rep.vertex_in.sum())) <= 1e-9
             for v in range(G.n):
@@ -184,3 +192,46 @@ def test_report_is_freed_with_its_graph():
     del G
     gc.collect()
     assert ref() is None
+
+
+def relabel(G, perm):
+    return Digraph(G.n, tuple(sorted((int(perm[u]), int(perm[v])) for u, v in G.arcs)))
+
+
+def test_permuted_union_reports_each_piece(split_example):
+    pieces = [gen_kbip(2, 3), gen_cycle(4), gen_path(5), gen_kbip(1, 4), split_example, new_digraph(2, [])]
+    perm = np.random.default_rng(3).permutation(sum(P.n for P in pieces))
+    G = relabel(disjoint_union(*pieces), perm)
+    rep = energy_report(G)
+    offset = 0
+    for P in pieces:
+        part = energy_report(P)
+        labels = perm[offset : offset + P.n]
+        assert np.allclose(rep.vertex_out[labels], part.vertex_out, rtol=0.0, atol=1e-12)
+        assert np.allclose(rep.vertex_in[labels], part.vertex_in, rtol=0.0, atol=1e-12)
+        offset += P.n
+    sigma = np.sort(np.concatenate([energy_report(P).sigma for P in pieces]))[::-1]
+    assert np.allclose(rep.sigma, sigma, rtol=0.0, atol=1e-12)
+    assert rep.total == pytest.approx(sum(energy_report(P).total for P in pieces), abs=1e-12)
+    assert_matches_svd(G)
+
+
+def test_complete_components_need_no_eigensolve(monkeypatch):
+    calls = []
+    real = dgspec.densela.sym_eigen
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dgspec.densela, "sym_eigen", counting)
+    G = disjoint_union(gen_kbip(2, 3), gen_cycle(7), gen_path(4), gen_kbip(1, 4), gen_kbip(3, 1), new_digraph(2, []))
+    rep = energy_report(G)
+    bounds_certificate(G)
+    assert calls == []
+    assert rep.total == math.fsum([math.sqrt(6), 7, 3, 2, math.sqrt(3)])
+    # vertices that only receive (emit) get an exact zero outer (inner) energy
+    deg = degree_profile(G)
+    assert all(rep.vertex_out[v] == 0.0 for v in range(G.n) if deg.out_deg[v] == 0)
+    assert all(rep.vertex_in[v] == 0.0 for v in range(G.n) if deg.in_deg[v] == 0)
+    assert_matches_svd(G)

@@ -4,6 +4,7 @@ import pytest
 
 from dgspec import (
     bounds_certificate,
+    disjoint_union,
     enumerate_digraphs,
     gen_cycle,
     gen_kbip,
@@ -83,3 +84,12 @@ def test_certificate_consistency_exhaustive():
         assert cert.upper_slack == pytest.approx(cert.upper - cert.energy, abs=0)
         assert cert.lower_equal == (abs(cert.lower_slack) <= cert.tolerance)
         assert cert.upper_equal == (abs(cert.upper_slack) <= cert.tolerance)
+
+
+def test_lower_equality_is_exact_on_many_complete_pieces():
+    # E sums 80 closed-form singular values sqrt(5 * 5) and 2R sums 2000
+    # terms 1/5; with compensated sums the slack is exactly zero
+    G = disjoint_union(*[gen_kbip(5, 5)] * 80)
+    cert = bounds_certificate(G, tol=1e-12)
+    assert cert.energy == 400.0 and cert.lower == 400.0
+    assert cert.lower_slack == 0.0 and cert.lower_equal
