@@ -21,7 +21,7 @@ from .classify import (
     is_source,
     verify_splitting,
 )
-from .densela import SymEigen, adjacency, gram_in, gram_out, psd_sqrt, singular_values, sym_eigen
+from .densela import SymEigen, adjacency, psd_sqrt, singular_values, sym_eigen
 from .digraph import (
     DegreeProfile,
     Digraph,
@@ -92,8 +92,6 @@ __all__ = [
     "gen_kbip",
     "gen_path",
     "gen_random",
-    "gram_in",
-    "gram_out",
     "is_sink",
     "is_sink_source",
     "is_source",

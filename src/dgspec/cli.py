@@ -7,7 +7,7 @@ used); every other non-blank line is ``<u> <v>`` for an arc u -> v.
 All reports are single JSON objects with stable key order and reals
 rounded to 12 significant digits, so identical inputs produce identical
 bytes.  Exit codes: 0 success, 1 sweep found a property failure, 2 bad
-input or usage.
+input or usage, or too little memory for the input.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .classify import classify_lower_equality, classify_upper_equality
@@ -104,16 +105,9 @@ def report_data(G: Digraph, which: str, tol: float = 1e-9) -> dict:
     elif which == "randic":
         data["randic"] = randic_index(G)
     elif which == "bounds":
-        cert = bounds_certificate(G, tol)
-        data["randic"] = cert.randic
-        data["energy"] = cert.energy
-        data["lower"] = cert.lower
-        data["upper"] = cert.upper
-        data["lower_slack"] = cert.lower_slack
-        data["upper_slack"] = cert.upper_slack
-        data["lower_equal"] = cert.lower_equal
-        data["upper_equal"] = cert.upper_equal
-        data["tolerance"] = cert.tolerance
+        # the certificate's fields are in report order; max_deg is max_degree above
+        data.update(asdict(bounds_certificate(G, tol)))
+        del data["max_deg"]
     elif which == "double":
         data["double_edges"] = [[a, b] for a, b in double(G).graph.edges]
     elif which == "classify":
@@ -250,6 +244,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (DgspecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # str(MemoryError()) is empty, so the message is ours
+        print("error: out of memory; the graph is too large", file=sys.stderr)
         return 2
 
 

@@ -1,15 +1,18 @@
-"""Dense real linear algebra: adjacency and Gram matrices, symmetric
-eigendecomposition, PSD matrix square root, singular values.
+"""Dense real linear algebra: adjacency matrix, symmetric eigendecomposition,
+PSD matrix square root, singular values and vertex energies.
 
-The energy report runs the Gram roots on one block of A at a time: the
-r x c submatrix of a non-complete component of the bipartite double.
-``adjacency`` builds the whole n x n matrix; only tests call it.
+The energy report decomposes one block of A at a time (the r x c submatrix
+of a non-complete component of the bipartite double) with one eigensolve of
+the block's smaller Gram matrix, from which it reads the singular values and
+both vertex-energy diagonals.  ``adjacency`` builds the whole n x n matrix;
+only tests call it.
 
 Matrices are plain float64 numpy arrays (row-major).  The eigensolver is
 LAPACK's symmetric driver behind a checked contract: symmetry is validated on
 entry and the achieved off-diagonal residual of ``Q^T S Q`` is validated
 against the requested tolerance on exit.  Eigenvector signs are left as
-LAPACK returns them; they cancel exactly in ``Q f(L) Q^T`` and the residual.
+LAPACK returns them; they cancel exactly in ``Q f(L) Q^T``, in squared
+entries of ``Q`` and ``Q^T M``, and in the residual.
 """
 
 from __future__ import annotations
@@ -55,18 +58,6 @@ def adjacency(G: Digraph) -> np.ndarray:
     return A
 
 
-def gram_out(A: np.ndarray) -> np.ndarray:
-    """A @ A.T; for an adjacency matrix its diagonal is the out-degrees."""
-    A = np.asarray(A, dtype=float)
-    return A @ A.T
-
-
-def gram_in(A: np.ndarray) -> np.ndarray:
-    """A.T @ A; for an adjacency matrix its diagonal is the in-degrees."""
-    A = np.asarray(A, dtype=float)
-    return A.T @ A
-
-
 def sym_eigen(S: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> SymEigen:
     """Eigendecompose a symmetric matrix, eigenvalues sorted descending.
 
@@ -103,32 +94,24 @@ def sym_eigen(S: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> SymEigen:
     return SymEigen(eigenvalues, basis, off_norm)
 
 
-def _clamped_spectrum(eigenvalues: np.ndarray) -> tuple[np.ndarray, float]:
-    """Zero out eigenvalues that are roundoff artifacts of a PSD matrix.
+def _root_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
+    """Square roots of the descending spectrum of a PSD matrix.
 
-    Returns the clamped copy and the roundoff window n*eps*max.  Small
-    negatives are Gram-matrix roundoff; tiny positives inside the window
-    come from exact rank deficiency and would otherwise inflate to ~1e-7
-    noise under the square root.
+    Eigenvalues below min(-1e-9, -n*eps*max) raise NotPSDError: the floor
+    widens with the spectrum's scale because Gram roundoff does.  Small
+    negatives and tiny positives inside the roundoff window n*eps*max are
+    clamped to zero: the first are roundoff, the second come from exact rank
+    deficiency and would otherwise inflate to ~1e-7 noise under the root.
     """
     if eigenvalues.size == 0:
-        return eigenvalues.copy(), 0.0
+        return eigenvalues.copy()
     window = max(float(eigenvalues[0]), 0.0) * eigenvalues.size * np.finfo(float).eps
+    floor = min(PSD_TOL, -window)
+    if float(eigenvalues[-1]) < floor:
+        raise NotPSDError(f"eigenvalue {eigenvalues[-1]:.3e} below PSD floor {floor:.3e}")
     clamped = eigenvalues.copy()
     clamped[clamped <= window] = 0.0
-    return clamped, window
-
-
-def _psd_root(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sqrt(L), Q sqrt(L) Q^T) for S = Q L Q^T from one eigensolve; see psd_sqrt."""
-    eig = sym_eigen(S)
-    clamped, window = _clamped_spectrum(eig.eigenvalues)
-    # roundoff grows with the spectrum's scale, so the floor widens with the window
-    floor = min(PSD_TOL, -window)
-    if eig.eigenvalues.size and float(eig.eigenvalues[-1]) < floor:
-        raise NotPSDError(f"eigenvalue {eig.eigenvalues[-1]:.3e} below PSD floor {floor:.3e}")
-    root = np.sqrt(clamped)
-    return root, (eig.basis * root) @ eig.basis.T
+    return np.sqrt(clamped)
 
 
 def psd_sqrt(S: np.ndarray) -> np.ndarray:
@@ -138,7 +121,31 @@ def psd_sqrt(S: np.ndarray) -> np.ndarray:
     inside the roundoff window n*eps*max are clamped to zero before the
     square root.
     """
-    return _psd_root(S)[1]
+    eig = sym_eigen(S)
+    return (eig.basis * _root_spectrum(eig.eigenvalues)) @ eig.basis.T
+
+
+def _gram_energies(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma, row energies, column energies) of a real r x c matrix B.
+
+    The energies are the diagonals of (B B^T)^(1/2) and (B^T B)^(1/2), both
+    read off one eigensolve of the smaller Gram matrix M M^T = Q L Q^T, where
+    M is B or B^T, so the solve has dimension k = min(r, c).  With
+    s = sqrt(L), the diagonal on M's side is (Q**2) @ s; on the other side
+    diag((M^T M)^(1/2))_j = sum over s_i > 0 of (q_i^T m_j)^2 / s_i, because
+    the right singular vectors are M^T q_i / s_i.  No k x k root is built.
+    """
+    B = np.asarray(B, dtype=float)
+    if B.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got ndim={B.ndim}")
+    wide = B.shape[0] <= B.shape[1]
+    M = B if wide else B.T
+    eig = sym_eigen(M @ M.T)
+    s = _root_spectrum(eig.eigenvalues)
+    kept = s > 0.0
+    solved = (eig.basis**2) @ s
+    other = ((eig.basis[:, kept].T @ M) ** 2).T @ (1.0 / s[kept])
+    return (s, solved, other) if wide else (s, other, solved)
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
@@ -147,9 +154,4 @@ def singular_values(A: np.ndarray) -> np.ndarray:
     Computed as square roots of the eigenvalues of the smaller Gram matrix
     (A A^T or A^T A), so the result has length min(rows, cols).
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={A.ndim}")
-    S = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    eig = sym_eigen(S)
-    return np.sqrt(_clamped_spectrum(eig.eigenvalues)[0])
+    return _gram_energies(A)[0]

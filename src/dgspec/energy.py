@@ -10,7 +10,8 @@ its sources index the rows and its sinks the columns of one block of A.  A
 complete block (every source joined to every sink: single arcs, stars,
 K(a, b)) has the closed form sigma = sqrt(rc), E+ = sqrt(c/r) on each of its
 r sources and E- = sqrt(r/c) on each of its c sinks.  Any other block runs
-the checked Gram-root kernel of ``densela`` on its own r x c matrix.
+one checked eigensolve of its smaller Gram matrix (dimension min(r, c)) in
+``densela``, which yields its singular values and both energy diagonals.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import _psd_root, gram_in, gram_out, psd_sqrt
+from .densela import _gram_energies
 from .digraph import Digraph, degree_profile
 from .errors import NoSuchArcError
 
@@ -96,11 +97,7 @@ def energy_report(G: Digraph) -> EnergyReport:
         B = np.zeros((r, c))
         for u, v in arcs:
             B[row[u], col[v]] = 1.0
-        # sigma is the root spectrum of B B^T: one eigensolve gives it and E+
-        block_sigma, root = _psd_root(gram_out(B))
-        vertex_out[list(sources)] = np.maximum(root.diagonal(), 0.0)
-        del root  # free the root before the second eigensolve
-        vertex_in[list(sinks)] = np.maximum(psd_sqrt(gram_in(B)).diagonal(), 0.0)
+        block_sigma, vertex_out[list(sources)], vertex_in[list(sinks)] = _gram_energies(B)
         values.extend(block_sigma.tolist())
     values.sort(reverse=True)
     sigma = np.zeros(G.n)

@@ -6,8 +6,9 @@ an edge {i-, j+} per arc (i, j).  Doubling transfers the invariants:
 
 which this module verifies through genuinely independent code paths (the
 digraph side decomposes each component of B(G) on its own, by closed form
-when it is complete and by Gram square roots otherwise; the double side runs
-one full symmetric eigensolve of the 2n x 2n adjacency).
+when it is complete and by one eigensolve of its smaller Gram matrix
+otherwise; the double side runs one full symmetric eigensolve of the
+2n x 2n adjacency).
 
 Vertex layout of the double: indices 0..n-1 are the minus copies, n..2n-1
 the plus copies, matching the block matrix [[0, M], [M^T, 0]].

@@ -8,24 +8,6 @@ package under test.
 import math
 
 
-def matmul_loops(A, B):
-    """Triple-loop matrix product over plain nested lists."""
-    rows, inner = len(A), len(B)
-    cols = len(B[0]) if inner else 0
-    out = [[0.0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += A[i][k] * B[k][j]
-            out[i][j] = acc
-    return out
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def eig_2x2_sym(S):
     """Eigenvalues of a symmetric 2x2 matrix by the quadratic formula, descending."""
     tr = S[0][0] + S[1][1]

@@ -175,6 +175,18 @@ def test_main_parse_error_exits_2(tmp_path, monkeypatch, capsys):
         assert str(exc) in assert_one_error_line(capsys)
 
 
+def test_main_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    # fake the exhaustion; str(MemoryError()) is empty, the error line is not
+    def exhausted(G):
+        raise MemoryError()
+
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n")
+    monkeypatch.setattr("dgspec.cli.energy_report", exhausted)
+    assert main(["energy", str(path)]) == 2
+    assert "out of memory" in assert_one_error_line(capsys)
+
+
 def test_main_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
     assert main(["gen", "kbip", "2"]) == 2

@@ -167,7 +167,7 @@ def test_exhaustive_small_graph_energy_invariants():
             assert max(out_sum, in_sum) <= root_an + 1e-9
 
 
-def test_uncached_report_runs_two_eigensolves(monkeypatch):
+def test_uncached_report_runs_one_eigensolve_per_block(monkeypatch):
     calls = []
     real = dgspec.densela.sym_eigen
 
@@ -176,13 +176,18 @@ def test_uncached_report_runs_two_eigensolves(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(dgspec.densela, "sym_eigen", counting)
-    G = gen_random(12, 0.3, 5)
-    energy_report(G)
-    assert calls == [(12, 12), (12, 12)]
-    # later requests on the same graph reuse its one decomposition
+    # a non-complete 3 x 5 block (sources 0-2, sinks 3-7) and its 5 x 3 reverse
+    wide = new_digraph(8, [(0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7)])
+    G = disjoint_union(wide, reverse(wide))
+    rep = energy_report(G)
+    # each block solves its smaller Gram matrix: 3 x 3 on both sides
+    assert calls == [(3, 3), (3, 3)]
+    # later requests on the same graph reuse its decompositions
     energy_report(G)
     bounds_certificate(G)
-    assert calls == [(12, 12), (12, 12)]
+    assert calls == [(3, 3), (3, 3)]
+    assert np.allclose(rep.vertex_out[:8], rep.vertex_in[8:], rtol=0.0, atol=1e-14)
+    assert_matches_svd(G)
 
 
 def test_report_is_freed_with_its_graph():
