@@ -3,11 +3,16 @@
 Edge-list grammar: ``#`` starts a comment; an optional first directive
 ``n <count>`` fixes the vertex count (otherwise 1 + the largest label is
 used); every other non-blank line is ``<u> <v>`` for an arc u -> v.
+Counts and labels are runs of decimal digits (``str.isdecimal``).
 
 All reports are single JSON objects with stable key order and reals
 rounded to 12 significant digits, so identical inputs produce identical
-bytes.  Exit codes: 0 success, 1 sweep found a property failure, 2 bad
-input or usage, or too little memory for the input.
+bytes.  The layout is part of that byte contract: it is the one
+``json.dumps(data, indent=2)`` gives (2-space indent, ``": "`` after keys,
+``[]`` and ``{}`` for empty containers, ``NaN``/``Infinity`` for non-finite
+reals), and dgspec's own writer produces it in one pass.  Exit codes:
+0 success, 1 sweep found a property failure, 2 bad input or usage, or too
+little memory for the input.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .classify import classify_lower_equality, classify_upper_equality
@@ -31,15 +38,19 @@ REPORT_KINDS = ("energy", "randic", "bounds", "double", "classify")
 
 
 def parse_edge_list(text: str) -> Digraph:
-    """Parse edge-list text into a digraph, reporting line-accurate errors."""
+    """Parse edge-list text into a digraph, reporting line-accurate errors.
+
+    Tokens such as ``+3`` or ``1_0``, which ``int`` would take, are refused.
+    """
     declared_n: int | None = None
-    seen: set[tuple[int, int]] = set()
-    max_label = -1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    # a dict keeps input order, so sorting an already sorted list is one pass
+    seen: dict[tuple[int, int], None] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
         tokens = line.split()
+        if not tokens:
+            continue
         if tokens[0] == "n":
             if declared_n is not None:
                 raise ParseError(lineno, "duplicate 'n' directive")
@@ -50,24 +61,23 @@ def parse_edge_list(text: str) -> Digraph:
             declared_n = int(tokens[1])
             continue
         if len(tokens) != 2:
-            raise ParseError(lineno, f"expected '<u> <v>', got {line!r}")
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(lineno, f"labels must be integers, got {line!r}") from None
-        if u < 0 or v < 0:
-            raise ParseError(lineno, "labels must be nonnegative")
+            raise ParseError(lineno, f"expected '<u> <v>', got {line.strip()!r}")
+        a, b = tokens
+        if not (a.isdecimal() and b.isdecimal()):
+            if a.removeprefix("-").isdecimal() and b.removeprefix("-").isdecimal():
+                raise ParseError(lineno, "labels must be nonnegative")
+            raise ParseError(lineno, f"labels must be integers, got {line.strip()!r}")
+        arc = u, v = int(a), int(b)
         if declared_n is not None and (u >= declared_n or v >= declared_n):
             raise OutOfRangeError(
                 f"line {lineno}: label {max(u, v)} exceeds declared n {declared_n}"
             )
         if u == v:
             raise LoopArcError(f"line {lineno}: loop arc ({u}, {v})")
-        if (u, v) in seen:
+        if arc in seen:
             raise DuplicateArcError(f"line {lineno}: duplicate arc ({u}, {v})")
-        seen.add((u, v))
-        max_label = max(max_label, u, v)
-    n = declared_n if declared_n is not None else max_label + 1
+        seen[arc] = None
+    n = declared_n if declared_n is not None else 1 + max(map(max, seen), default=-1)
     # every arc is checked above, so the graph needs no second validation pass
     return Digraph(n, tuple(sorted(seen)))
 
@@ -79,29 +89,16 @@ def serialize_edge_list(G: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _round_reals(obj):
-    """Round every float to 12 significant digits, recursively."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round_reals(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_reals(v) for v in obj]
-    return obj
-
-
 def report_data(G: Digraph, which: str, tol: float = 1e-9) -> dict:
     """Assemble the report for one subcommand as plain JSON-ready data."""
     deg = degree_profile(G)
     data: dict = {"n": G.n, "arc_count": deg.arc_count, "max_degree": deg.max_deg}
     if which == "energy":
         rep = energy_report(G)
-        data["singular_values"] = [float(s) for s in rep.sigma]
+        data["singular_values"] = rep.sigma.tolist()
         data["energy"] = rep.total
-        data["vertex_energy_out"] = [float(x) for x in rep.vertex_out]
-        data["vertex_energy_in"] = [float(x) for x in rep.vertex_in]
+        data["vertex_energy_out"] = rep.vertex_out.tolist()
+        data["vertex_energy_in"] = rep.vertex_in.tolist()
     elif which == "randic":
         data["randic"] = randic_index(G)
     elif which == "bounds":
@@ -109,18 +106,14 @@ def report_data(G: Digraph, which: str, tol: float = 1e-9) -> dict:
         data.update(asdict(bounds_certificate(G, tol)))
         del data["max_deg"]
     elif which == "double":
-        data["double_edges"] = [[a, b] for a, b in double(G).graph.edges]
+        data["double_edges"] = double(G).graph.edges
     elif which == "classify":
         splitting = classify_lower_equality(G)
         data["lower_equality"] = (
             None
             if splitting is None
             else [
-                {
-                    "sources": list(part.sources),
-                    "sinks": list(part.sinks),
-                    "arcs": [[u, v] for u, v in part.arcs],
-                }
+                {"sources": part.sources, "sinks": part.sinks, "arcs": part.arcs}
                 for part in splitting.parts
             ]
         )
@@ -128,27 +121,84 @@ def report_data(G: Digraph, which: str, tol: float = 1e-9) -> dict:
         data["upper_equality"] = (
             None
             if kinds is None
-            else [{"kind": k.tag.value, "vertices": list(k.vertices)} for k in kinds]
+            else [{"kind": k.tag.value, "vertices": k.vertices} for k in kinds]
         )
     else:
         raise BadParameterError(f"unknown report kind {which!r}")
     return data
 
 
-def _dump_json(data: dict) -> str:
-    return json.dumps(_round_reals(data), indent=2)
+_INT, _FLOAT, _SEQUENCE = frozenset({int}), frozenset({float}), frozenset({list, tuple})
+
+
+def _real(x: float) -> str:
+    """A reported real as JSON text: rounded to 12 significant digits, then
+    printed as json prints a float, with NaN and infinities spelled its way."""
+    x = float(f"{x:.12g}")
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _ints(items, nl: str) -> str:
+    """A sequence of plain ints as an indented JSON array opened on line ``nl``."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(int.__repr__, items)) + nl + "]"
+
+
+def _write(obj, nl: str = "\n") -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it, with reals rounded.
+
+    ``nl`` is a newline plus the indent of the line ``obj`` starts on.  Lists
+    of plain ints, of plain floats or of int sequences are joined in one pass.
+    Dict keys must be str (``encode_basestring_ascii`` raises TypeError on any
+    other key), and any other value json rejects raises TypeError too.
+    """
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds <= _INT:
+            return _ints(obj, nl)
+        if kinds == _FLOAT:
+            items = map(_real, obj)
+        elif kinds <= _SEQUENCE and set(map(type, chain.from_iterable(obj))) == _INT:
+            items = map(_ints, obj, repeat(inner))
+        else:
+            items = [_write(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _write(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _real(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit_report(G: Digraph, which: str, tol: float = 1e-9) -> str:
     """The report for one subcommand as deterministic JSON text."""
-    return _dump_json(report_data(G, which, tol))
+    return _write(report_data(G, which, tol))
 
 
 def render_text(data: dict) -> str:
     """Flat human-readable rendering of report data."""
     lines = []
     for key, value in data.items():
-        lines.append(f"{key}: {json.dumps(_round_reals(value))}")
+        # the value as the report writes it, re-read and printed on one line
+        lines.append(f"{key}: {json.dumps(json.loads(_write(value)))}")
     return "\n".join(lines)
 
 
@@ -158,7 +208,7 @@ def _read_graph(path: str) -> Digraph:
 
 
 def _print_data(data: dict, fmt: str) -> None:
-    print(_dump_json(data) if fmt == "json" else render_text(data))
+    print(_write(data) if fmt == "json" else render_text(data))
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -167,26 +217,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+# each generator with the types of its command-line parameters
+_GENERATORS = {
+    "cycle": (gen_cycle, (int,)),
+    "path": (gen_path, (int,)),
+    "kbip": (gen_kbip, (int, int)),
+    "random": (gen_random, (int, float, int)),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    kind, params = args.kind, args.params
+    make, types = _GENERATORS[args.kind]
+    bad = BadParameterError(f"gen {args.kind}: bad parameters {' '.join(args.params)!r}")
+    if len(args.params) != len(types):
+        raise bad
+    # only the conversions are guarded: the generator's own BadParameterError
+    # carries the reason a value is refused
     try:
-        if kind == "cycle":
-            (count,) = params
-            G = gen_cycle(int(count))
-        elif kind == "path":
-            (count,) = params
-            G = gen_path(int(count))
-        elif kind == "kbip":
-            sources, sinks = params
-            G = gen_kbip(int(sources), int(sinks))
-        else:
-            count, prob, seed = params
-            G = gen_random(int(count), float(prob), int(seed))
+        values = [convert(param) for convert, param in zip(types, args.params)]
     except ValueError:
-        raise BadParameterError(
-            f"gen {kind}: bad parameters {' '.join(params)!r}"
-        ) from None
-    sys.stdout.write(serialize_edge_list(G))
+        raise bad from None
+    sys.stdout.write(serialize_edge_list(make(*values)))
     return 0
 
 
@@ -217,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "gen", parents=[common], help="emit a generated graph as an edge list"
     )
-    p.add_argument("kind", choices=("cycle", "path", "kbip", "random"))
+    p.add_argument("kind", choices=tuple(_GENERATORS))
     p.add_argument("params", nargs="*", help="cycle/path: N; kbip: N M; random: N P SEED")
     p.set_defaults(func=_cmd_gen)
 

@@ -5,6 +5,7 @@ counting) so the values it produces do not share a code path with the
 package under test.
 """
 
+import json
 import math
 
 
@@ -28,3 +29,26 @@ def sqrt_2x2_spd(S):
         [(S[0][0] + root_det) / scale, S[0][1] / scale],
         [S[1][0] / scale, (S[1][1] + root_det) / scale],
     ]
+
+
+def round_reals(obj):
+    """Every float rounded to 12 significant digits, tuples rebuilt as lists."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round_reals(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_reals(v) for v in obj]
+    return obj
+
+
+def report_json(data):
+    """A report as the standard library writes it: rounded, then indent-2 json."""
+    return json.dumps(round_reals(data), indent=2)
+
+
+def report_text(data):
+    """``--format text``: one ``key: <compact json>`` line per top-level key."""
+    return "\n".join(f"{key}: {json.dumps(round_reals(value))}" for key, value in data.items())

@@ -163,6 +163,18 @@ def test_main_parse_error_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["energy", str(path)]) == 2
     assert "expected 'n <count>'" in assert_one_error_line(capsys)
 
+    # labels follow the count's rule: int() would take "1_0" and "+3"
+    for text, reason in (
+        ("1_0 2\n+3 4\n", "line 1: labels must be integers"),
+        ("0 1\n+3 4\n", "line 2: labels must be integers"),
+        ("0 1\n2 \xb2\n", "line 2: labels must be integers"),
+        ("0 1  # arc\n-1 2\n", "line 2: labels must be nonnegative"),
+        ("0 1\n1 -0\n", "line 2: labels must be nonnegative"),
+    ):
+        path.write_text(text)
+        assert main(["classify", str(path)]) == 2, text
+        assert reason in assert_one_error_line(capsys)
+
     # kernel failures cannot be provoked from a valid edge list, so fake them
     path.write_text("0 1\n")
     for exc in (NotPSDError("indefinite"), NoConvergenceError("stalled"), NotSymmetricError("asym")):
@@ -202,6 +214,18 @@ def test_main_usage_error_exits_2(capsys):
     ):
         assert main(argv) == 2, argv
         assert_one_error_line(capsys)
+
+
+def test_main_gen_reports_the_generators_reason(capsys):
+    for argv, reason in (
+        (["gen", "cycle", "1"], "cycle needs at least 2 vertices, got 1"),
+        (["gen", "kbip", "0", "2"], "both parts must be nonempty"),
+        (["gen", "random", "4", "1.5", "0"], "arc probability must lie in [0, 1]"),
+        (["gen", "cycle", "x"], "gen cycle: bad parameters 'x'"),
+        (["gen", "path", "3", "4"], "gen path: bad parameters '3 4'"),
+    ):
+        assert main(argv) == 2, argv
+        assert reason in assert_one_error_line(capsys), argv
 
 
 def test_main_gen_cycle(capsys):

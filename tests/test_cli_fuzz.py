@@ -1,0 +1,73 @@
+"""Seeded fuzz tests of the command-line contract, in plain pytest.
+
+Whatever bytes arrive, ``main`` exits 0 with one JSON document on stdout, or
+exits 2 with exactly one ``error:`` line on stderr and nothing on stdout.
+Labels stay small, so no input asks for a large matrix.
+"""
+
+import json
+import random
+
+from dgspec import new_digraph
+from dgspec.cli import REPORT_KINDS, main, parse_edge_list, serialize_edge_list
+
+ALPHABET = b"0123456789  n#-+_\t\r\n\n\n.x\xc2\xb2\xff"
+TOKENS = ["n", "0", "1", "2", "3", "7", "12", "00", "-1", "-0", "+3", "1_0", "1.5", "0x1", "x", "#", "#c", "²", "٣"]
+
+
+def random_bytes(rng):
+    if rng.random() < 0.2:
+        return rng.randbytes(rng.randrange(40))
+    return bytes(rng.choice(ALPHABET) for _ in range(rng.randrange(40)))
+
+
+def random_tokens(rng):
+    lines = []
+    for _ in range(rng.randrange(8)):
+        tokens = rng.choices(TOKENS, k=rng.choice((0, 1, 2, 2, 2, 3)))
+        lines.append(rng.choice((" ", "\t", "  ")).join(tokens))
+    return rng.choice(("\n", "\r\n")).join(lines).encode()
+
+
+def check_contract(payload, which, path, capsys):
+    path.write_bytes(payload)
+    code = main([which, str(path)])
+    out, err = capsys.readouterr()
+    assert code in (0, 2), payload
+    if code == 0:
+        assert err == ""
+        json.loads(out)
+    else:
+        assert out == "", payload
+        assert err.startswith("error: ") and err.count("\n") == 1, (payload, err)
+    return code
+
+
+def test_random_inputs_exit_0_or_2(tmp_path, capsys):
+    rng = random.Random(20261018)
+    path = tmp_path / "g.txt"
+    codes = []
+    for i in range(300):
+        payload = random_bytes(rng) if i % 2 else random_tokens(rng)
+        codes.append(check_contract(payload, REPORT_KINDS[i % len(REPORT_KINDS)], path, capsys))
+    # both outcomes occur, so neither half of the contract goes unchecked
+    assert codes.count(0) >= 30 and codes.count(2) >= 30
+
+
+def test_edge_list_round_trip():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randrange(0, 25)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        G = new_digraph(n, rng.sample(pairs, rng.randrange(len(pairs) + 1)))
+        text = serialize_edge_list(G)
+        assert parse_edge_list(text) == G
+        # the same arcs shuffled, with comments, blanks and odd spacing
+        lines = text.splitlines()
+        body = lines[1:]
+        rng.shuffle(body)
+        spaces = (" ", "\t", "   ")
+        noisy = [lines[0] + "  # count"] + [" " + line.replace(" ", rng.choice(spaces)) + "\t" for line in body]
+        noisy.insert(rng.randrange(len(noisy) + 1), "# note")
+        noisy.insert(rng.randrange(len(noisy) + 1), "")
+        assert parse_edge_list("\n".join(noisy)) == G
