@@ -44,12 +44,8 @@ from .energy import (
     vertex_degree_bound_check,
 )
 from .hermitian import (
-    BipartiteDouble,
     UndirectedGraph,
     double,
-    double_degrees_check,
-    new_undirected,
-    nikiforov_energy,
     transfer_check,
     undirected_energy,
     undirected_randic,
@@ -60,7 +56,6 @@ from .randic import BoundsCertificate, bounds_certificate, randic_index
 __version__ = "0.1.0"
 
 __all__ = [
-    "BipartiteDouble",
     "BoundsCertificate",
     "CheckOutcome",
     "ComponentKind",
@@ -83,7 +78,6 @@ __all__ = [
     "degree_profile",
     "disjoint_union",
     "double",
-    "double_degrees_check",
     "edge_energy",
     "energy_report",
     "enumerate_digraphs",
@@ -97,8 +91,6 @@ __all__ = [
     "is_source",
     "mcclelland_bound",
     "new_digraph",
-    "new_undirected",
-    "nikiforov_energy",
     "psd_sqrt",
     "randic_index",
     "reverse",

@@ -3,7 +3,10 @@
 Edge-list grammar: ``#`` starts a comment; an optional first directive
 ``n <count>`` fixes the vertex count (otherwise 1 + the largest label is
 used); every other non-blank line is ``<u> <v>`` for an arc u -> v.
-Counts and labels are runs of decimal digits (``str.isdecimal``).
+Counts and labels are runs of decimal digits (``str.isdecimal``).  A line
+ends at ``\n`` only; files and stdin are read with universal newlines, so
+``\r\n`` and ``\r`` arrive as ``\n``, and any other separator is space
+between tokens.
 
 All reports are single JSON objects with stable key order and reals
 rounded to 12 significant digits, so identical inputs produce identical
@@ -45,7 +48,9 @@ def parse_edge_list(text: str) -> Digraph:
     declared_n: int | None = None
     # a dict keeps input order, so sorting an already sorted list is one pass
     seen: dict[tuple[int, int], None] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # a line ends at "\n" alone: str.splitlines would also break at form
+    # feeds, vertical tabs and other separators that split() counts as spaces
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if "#" in line:
             line = line[: line.index("#")]
         tokens = line.split()
@@ -106,7 +111,7 @@ def report_data(G: Digraph, which: str, tol: float = 1e-9) -> dict:
         data.update(asdict(bounds_certificate(G, tol)))
         del data["max_deg"]
     elif which == "double":
-        data["double_edges"] = double(G).graph.edges
+        data["double_edges"] = double(G).edges
     elif which == "classify":
         splitting = classify_lower_equality(G)
         data["lower_equality"] = (
@@ -276,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[common], help="exhaustive property check over small graphs"
     )
     p.add_argument("--max-n", type=int, required=True, help="largest vertex count")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU")
     p.set_defaults(func=_cmd_sweep)
     return parser
 

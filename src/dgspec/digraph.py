@@ -4,7 +4,9 @@ connectivity, and the named generators used throughout the package.
 Vertices are dense integers 0..n-1.  Arcs are stored as a sorted tuple of
 ordered pairs, so a ``Digraph`` is immutable, hashable and cheap to compare;
 adjacency structure, the degree profile and the components of the
-bipartite double are materialized lazily, once.
+bipartite double are materialized lazily, once.  The weak components of G
+and the components of the bipartite double come from one union-find
+labelling, run over the arcs on n vertices or over the double's edges on 2n.
 """
 
 from __future__ import annotations
@@ -70,10 +72,7 @@ class Digraph:
         component and a sink of another (or of the same one).
         """
         n = self.n
-        uf = UnionFind(2 * n)
-        for u, v in self.arcs:
-            uf.union(u, n + v)
-        root = [uf.find(x) for x in range(n)]
+        root = _component_roots(2 * n, ((u, n + v) for u, v in self.arcs))
         grouped: dict[int, list[tuple[int, int]]] = {}
         for arc in self.arcs:  # share the arc tuples rather than copy them
             grouped.setdefault(root[arc[0]], []).append(arc)
@@ -151,29 +150,26 @@ def reverse(G: Digraph) -> Digraph:
     return Digraph(G.n, tuple(sorted((v, u) for u, v in G.arcs)))
 
 
-class UnionFind:
-    """Disjoint sets over 0..size-1 with path compression and union by size."""
+def _component_roots(size: int, pairs) -> list[int]:
+    """The root of each element of 0..size-1 once every pair is joined.
 
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
+    Union-find with path halving (Tarjan and van Leeuwen, J. ACM 31, 1984):
+    each step of a find points the element at its grandparent.  Elements
+    share a root exactly when a chain of pairs connects them.
+    """
+    parent = list(range(size))
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        parent[b] = a
+    roots = []
+    for x in range(size):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        roots.append(x)
+    return roots
 
 
 def weak_components(G: Digraph) -> list[tuple[int, ...]]:
@@ -182,13 +178,12 @@ def weak_components(G: Digraph) -> list[tuple[int, ...]]:
     Components are returned as sorted vertex tuples, ordered by their
     smallest vertex, so the output is deterministic.
     """
-    uf = UnionFind(G.n)
-    for u, v in G.arcs:
-        uf.union(u, v)
     groups: dict[int, list[int]] = {}
-    for v in range(G.n):
-        groups.setdefault(uf.find(v), []).append(v)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0])
+    # vertices arrive in increasing order, so each group and the order of
+    # the groups come out sorted
+    for v, root in enumerate(_component_roots(G.n, G.arcs)):
+        groups.setdefault(root, []).append(v)
+    return [tuple(g) for g in groups.values()]
 
 
 def gen_cycle(n: int) -> Digraph:

@@ -16,6 +16,7 @@ All other properties use ``tol`` directly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -204,7 +205,7 @@ def check_graph(G: Digraph, tol: float = 1e-9) -> CheckOutcome:
         edge_dev <= tol * _TOL_SCALE["edge_energy_sum"], edge_dev, "graph"
     )
 
-    H = double(G).graph
+    H = double(G)
     energy_dev = abs(2.0 * rep.total - undirected_energy(H))
     results["transfer_energy"] = PropertyResult(
         energy_dev <= tol * _TOL_SCALE["transfer_energy"], energy_dev, "graph"
@@ -275,21 +276,23 @@ def _merge(max_n: int, tol: float, chunks: list[SweepSummary]) -> SweepSummary:
 def sweep(max_n: int, tol: float = 1e-9, jobs: int = 1) -> SweepSummary:
     """Run check_graph over every digraph with 1..max_n vertices.
 
-    ``jobs`` > 1 partitions the code space across worker processes; the
-    merge is associative, so the summary is identical for any job count.
+    ``jobs`` > 1 partitions the code space across worker processes, at most
+    one per CPU; the merge is associative, so the summary is identical for
+    any job count.
     """
     if not 1 <= max_n <= MAX_ENUM_N:
         raise BadParameterError(f"sweep supports 1..{MAX_ENUM_N} vertices, got {max_n}")
+    workers = min(jobs, os.cpu_count() or 1)
     tasks = []
     for n in range(1, max_n + 1):
         count = 1 << (n * (n - 1))
-        if jobs > 1 and count > 4 * jobs:
-            step = -(-count // (4 * jobs))
+        if workers > 1 and count > 4 * workers:
+            step = -(-count // (4 * workers))
             tasks.extend((n, lo, min(lo + step, count), tol) for lo in range(0, count, step))
         else:
             tasks.append((n, 0, count, tol))
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    if workers > 1:
+        with Pool(workers) as pool:
             chunks = pool.map(_sweep_chunk, tasks)
     else:
         chunks = [_sweep_chunk(task) for task in tasks]

@@ -31,6 +31,30 @@ def sqrt_2x2_spd(S):
     ]
 
 
+def bfs_components(size, pairs):
+    """Connected components of the undirected graph on 0..size-1 whose edges
+    are ``pairs``, by breadth-first search: sorted vertex lists, ordered by
+    their smallest vertex."""
+    adj = [[] for _ in range(size)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = [False] * size
+    components = []
+    for start in range(size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        for x in queue:  # the list grows as the search reaches new vertices
+            for y in adj[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    queue.append(y)
+        components.append(sorted(queue))
+    return components
+
+
 def round_reals(obj):
     """Every float rounded to 12 significant digits, tuples rebuilt as lists."""
     if isinstance(obj, bool):

@@ -131,7 +131,7 @@ def test_criterion_5_numerical_kernel_at_scale():
                 assert np.max(np.abs(root @ root - gram)) <= 1e-8
             rep = energy_report(G)
             assert abs(float(rep.vertex_out.sum() - rep.vertex_in.sum())) <= 1e-8
-            assert abs(2 * rep.total - undirected_energy(double(G).graph)) <= 1e-7
+            assert abs(2 * rep.total - undirected_energy(double(G))) <= 1e-7
 
 
 def test_criterion_6_cli_contract(monkeypatch, capsys):

@@ -167,7 +167,7 @@ def test_upper_success_never_yields_other():
         kinds = classify_upper_equality(G)
         if kinds is not None:
             assert all(k.tag is not ComponentTag.OTHER for k in kinds)
-            dd = undirected_degrees(double(G).graph)
+            dd = undirected_degrees(double(G))
             assert all(d <= 1 for d in dd)
             assert len(kinds) == len(weak_components(G))
 

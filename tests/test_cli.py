@@ -170,6 +170,9 @@ def test_main_parse_error_exits_2(tmp_path, monkeypatch, capsys):
         ("0 1\n2 \xb2\n", "line 2: labels must be integers"),
         ("0 1  # arc\n-1 2\n", "line 2: labels must be nonnegative"),
         ("0 1\n1 -0\n", "line 2: labels must be nonnegative"),
+        # a line ends at "\n" only: a form feed or vertical tab is a space
+        ("n 4\n0 1\x0c2 3\n", "line 2: expected '<u> <v>'"),
+        ("n 3\n0 1\x0bx\n", "line 2: expected '<u> <v>'"),
     ):
         path.write_text(text)
         assert main(["classify", str(path)]) == 2, text

@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from dgspec import (
     degree_profile,
     disjoint_union,
     enumerate_digraphs,
+    find_splitting,
     gen_cycle,
     gen_kbip,
     gen_path,
@@ -14,7 +16,10 @@ from dgspec import (
     reverse,
     weak_components,
 )
+from dgspec.digraph import Digraph
 from dgspec.errors import BadParameterError, LoopArcError, OutOfRangeError
+
+from _oracles import bfs_components
 
 
 def test_new_digraph_builds_sorted_arc_set():
@@ -157,3 +162,32 @@ def test_disjoint_union():
     G = disjoint_union(gen_cycle(3), gen_path(2))
     assert G.n == 5
     assert G.arcs == ((0, 1), (1, 2), (2, 0), (3, 4))
+
+
+def labelling_corpus(split_example):
+    yield from (G for n in range(1, 5) for G in enumerate_digraphs(n))
+    # the digest set of the report-byte checks
+    yield from (gen_random(n, p, s) for n in (10, 50, 120) for p in (0.05, 0.2, 0.6) for s in range(4))
+    pieces = [gen_kbip(2, 3), gen_cycle(4), gen_path(5), gen_kbip(1, 4), split_example, new_digraph(2, [])]
+    perm = np.random.default_rng(3).permutation(sum(P.n for P in pieces))
+    G = disjoint_union(*pieces)
+    yield Digraph(G.n, tuple(sorted((int(perm[u]), int(perm[v])) for u, v in G.arcs)))
+
+
+def test_component_labelling_matches_bfs(split_example):
+    for G in labelling_corpus(split_example):
+        n = G.n
+        assert weak_components(G) == [tuple(c) for c in bfs_components(n, G.arcs)]
+        # components of B(G) that carry an edge, pulled back to (sources, sinks, arcs)
+        expected = []
+        for comp in bfs_components(2 * n, [(u, n + v) for u, v in G.arcs]):
+            if len(comp) > 1:
+                sources = tuple(x for x in comp if x < n)
+                sinks = tuple(x - n for x in comp if x >= n)
+                expected.append((sources, sinks, tuple(a for a in G.arcs if a[0] in sources)))
+        assert G._double_components == tuple(expected)
+        splitting = find_splitting(G)
+        if splitting is None:
+            assert any(set(sources) & set(sinks) for sources, sinks, _ in expected)
+        else:
+            assert [(p.sources, p.sinks, p.arcs) for p in splitting.parts] == expected

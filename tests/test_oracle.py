@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -103,9 +104,40 @@ def test_sweep_3():
 
 
 def test_sweep_parallel_matches_serial():
-    serial = sweep(2, 1e-9, jobs=1)
-    parallel = sweep(2, 1e-9, jobs=2)
+    # n = 3 has 64 codes, more than 4 per job, so its code range is split
+    serial = sweep(3, 1e-9, jobs=1)
+    parallel = sweep(3, 1e-9, jobs=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+def test_sweep_starts_at_most_one_worker_per_cpu(monkeypatch):
+    started = []
+
+    class FakePool:
+        """Records the processes asked for and maps in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(task) for task in tasks]
+
+    expected = sweep(3).to_dict()
+    monkeypatch.setattr("dgspec.oracle.Pool", FakePool)
+    assert sweep(3, jobs=10**6).to_dict() == expected
+    assert all(p <= (os.cpu_count() or 1) for p in started)
+    # the CPU count caps the pool; one CPU, or none reported, runs in this process
+    for cpus, pools in ((3, [3]), (1, []), (None, [])):
+        started.clear()
+        monkeypatch.setattr("dgspec.oracle.os.cpu_count", lambda cpus=cpus: cpus)
+        assert sweep(3, jobs=10**6).to_dict() == expected
+        assert started == pools
 
 
 def test_sweep_rejects_bad_max_n():
@@ -123,7 +155,7 @@ def test_lower_equality_counts_cross_validate():
         if abs(bounds_certificate(G).lower_slack) <= 1e-8:
             numeric += 1
         # independent completeness check over the double's components
-        H = double(G).graph
+        H = double(G)
         adj = {v: set() for v in range(H.n)}
         for a, b in H.edges:
             adj[a].add(b)
