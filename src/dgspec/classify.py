@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .digraph import Digraph, degree_profile, weak_components
+from .errors import BadParameterError
 
 
 class ComponentTag(enum.Enum):
@@ -130,9 +131,11 @@ def classify_component(G: Digraph, vertices) -> ComponentKind:
 
     With all in- and out-degrees at most 1 a weakly connected component is
     forced to be a directed path (walk from the unique in-degree-0 vertex)
-    or a directed cycle (walk until the start returns).
+    or a directed cycle (walk from any vertex until the start returns).
     """
     verts = sorted(set(vertices))
+    if not verts:
+        raise BadParameterError("a component needs at least one vertex")
     vset = set(verts)
     arcs = [(u, v) for u in verts for v in G.out_neighbors(u) if v in vset]
     if len(verts) == 1 and not arcs:
@@ -145,22 +148,14 @@ def classify_component(G: Digraph, vertices) -> ComponentKind:
     if any(len(succ[v]) > 1 or in_deg[v] > 1 for v in verts):
         return ComponentKind(ComponentTag.OTHER, tuple(verts))
     starts = [v for v in verts if in_deg[v] == 0]
-    if starts:
-        order = [starts[0]]
-        while succ[order[-1]]:
-            order.append(succ[order[-1]][0])
-        if len(order) == len(verts) and len(arcs) == len(verts) - 1:
+    order = [starts[0] if starts else verts[0]]
+    while succ[order[-1]] and succ[order[-1]][0] != order[0]:
+        order.append(succ[order[-1]][0])
+    if len(order) == len(verts):
+        if starts and len(arcs) == len(verts) - 1:
             return ComponentKind(ComponentTag.DIRECTED_PATH, tuple(order))
-        return ComponentKind(ComponentTag.OTHER, tuple(verts))
-    # no start vertex: every degree is exactly 1, walk closes a cycle
-    order = [verts[0]]
-    while succ[order[-1]]:
-        nxt = succ[order[-1]][0]
-        if nxt == order[0]:
-            break
-        order.append(nxt)
-    if len(order) == len(verts) and len(arcs) == len(verts):
-        return ComponentKind(ComponentTag.DIRECTED_CYCLE, tuple(order))
+        if not starts and len(arcs) == len(verts):
+            return ComponentKind(ComponentTag.DIRECTED_CYCLE, tuple(order))
     return ComponentKind(ComponentTag.OTHER, tuple(verts))
 
 

@@ -3,10 +3,11 @@ connectivity, and the named generators used throughout the package.
 
 Vertices are dense integers 0..n-1.  Arcs are stored as a sorted tuple of
 ordered pairs, so a ``Digraph`` is immutable, hashable and cheap to compare;
-adjacency structure, the degree profile and the components of the
-bipartite double are materialized lazily, once.  The weak components of G
-and the components of the bipartite double come from one union-find
-labelling, run over the arcs on n vertices or over the double's edges on 2n.
+adjacency structure, the degree profile, the components of the bipartite
+double and the energy report are lazy attributes, built once and freed with
+the graph.  The weak components of G and the components of the bipartite
+double come from one union-find labelling, run over the arcs on n vertices
+or over the double's edges on 2n.
 """
 
 from __future__ import annotations
@@ -14,8 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import BadParameterError, LoopArcError, OutOfRangeError
+
+if TYPE_CHECKING:
+    from .energy import EnergyReport
 
 
 @dataclass(frozen=True)
@@ -24,15 +29,6 @@ class Digraph:
 
     n: int
     arcs: tuple[tuple[int, int], ...]
-
-    # the energy memo looks a graph up on every request, so hashing the arc
-    # tuple each time would make per-arc queries O(m^2) over a graph
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.n, self.arcs))
 
     @cached_property
     def _arc_set(self) -> frozenset[tuple[int, int]]:
@@ -50,7 +46,7 @@ class Digraph:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.arcs:
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(tuple(a) for a in adj)
 
     @cached_property
     def _degrees(self) -> DegreeProfile:
@@ -82,6 +78,11 @@ class Digraph:
         ]
         parts.sort(key=lambda p: p[0][0])
         return tuple(parts)
+
+    @cached_property
+    def _energy(self) -> EnergyReport:
+        from .energy import _decompose  # energy imports this module
+        return _decompose(self)
 
     @property
     def arc_count(self) -> int:

@@ -17,7 +17,6 @@ one checked eigensolve of its smaller Gram matrix (dimension min(r, c)) in
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,21 +64,16 @@ class VertexBoundCheck:
     violation: bool
 
 
-# bounds_certificate, the vertex and arc checks and edge_energy re-request the
-# report of a graph just reported on; an entry shares one decomposition among
-# them and dies with its graph, so the memo never keeps a graph alive.
-_reports: weakref.WeakKeyDictionary[Digraph, EnergyReport] = weakref.WeakKeyDictionary()
-
-
 def energy_report(G: Digraph) -> EnergyReport:
-    """Full energy report of a digraph (computed once per graph; arrays are read-only).
+    """Full energy report of a digraph, kept on the graph (arrays are read-only).
 
     Each block of A is decomposed on its own (see the module docstring), so
     no n x n matrix is built.
     """
-    rep = _reports.get(G)
-    if rep is not None:
-        return rep
+    return G._energy
+
+
+def _decompose(G: Digraph) -> EnergyReport:
     vertex_out = np.zeros(G.n)
     vertex_in = np.zeros(G.n)
     values: list[float] = []
@@ -104,8 +98,7 @@ def energy_report(G: Digraph) -> EnergyReport:
     sigma[: len(values)] = values
     for arr in (sigma, vertex_out, vertex_in):
         arr.setflags(write=False)
-    rep = _reports[G] = EnergyReport(sigma, math.fsum(values), vertex_out, vertex_in)
-    return rep
+    return EnergyReport(sigma, math.fsum(values), vertex_out, vertex_in)
 
 
 def edge_energy(G: Digraph, arc: tuple[int, int]) -> float:

@@ -129,17 +129,16 @@ def arc_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 def code_of(G: Digraph) -> int:
     """The arc-bitmask code of a digraph (bit i = i-th lexicographic pair)."""
-    index = {pair: i for i, pair in enumerate(arc_pairs(G.n))}
     code = 0
-    for arc in G.arcs:
-        code |= 1 << index[arc]
+    for u, v in G.arcs:
+        # the pairs (u, .) start at bit u * (G.n - 1), and (u, u) is skipped
+        code |= 1 << (u * (G.n - 1) + v - (v > u))
     return code
 
 
 def digraph_of_code(n: int, code: int) -> Digraph:
     pairs = arc_pairs(n)
-    arcs = tuple(pairs[i] for i in range(len(pairs)) if code >> i & 1)
-    return Digraph(n, tuple(sorted(arcs)))
+    return Digraph(n, tuple(pairs[i] for i in range(len(pairs)) if code >> i & 1))
 
 
 def enumerate_digraphs(n: int):
@@ -277,8 +276,8 @@ def sweep(max_n: int, tol: float = 1e-9, jobs: int = 1) -> SweepSummary:
     """Run check_graph over every digraph with 1..max_n vertices.
 
     ``jobs`` > 1 partitions the code space across worker processes, at most
-    one per CPU; the merge is associative, so the summary is identical for
-    any job count.
+    one per CPU and one per task; the merge is associative, so the summary
+    is identical for any job count.
     """
     if not 1 <= max_n <= MAX_ENUM_N:
         raise BadParameterError(f"sweep supports 1..{MAX_ENUM_N} vertices, got {max_n}")
@@ -291,6 +290,7 @@ def sweep(max_n: int, tol: float = 1e-9, jobs: int = 1) -> SweepSummary:
             tasks.extend((n, lo, min(lo + step, count), tol) for lo in range(0, count, step))
         else:
             tasks.append((n, 0, count, tol))
+    workers = min(workers, len(tasks))
     if workers > 1:
         with Pool(workers) as pool:
             chunks = pool.map(_sweep_chunk, tasks)

@@ -22,7 +22,7 @@ from dgspec import (
     verify_splitting,
     weak_components,
 )
-from dgspec.errors import OutOfRangeError
+from dgspec.errors import BadParameterError, OutOfRangeError
 from dgspec.hermitian import undirected_degrees
 
 
@@ -122,14 +122,22 @@ def test_classify_component_cycle():
 
 
 def test_classify_component_path():
-    kind = classify_component(gen_path(3), (0, 1, 2))
-    assert kind.tag is ComponentTag.DIRECTED_PATH
-    assert kind.vertices == (0, 1, 2)
+    # P3 whole, and the arc 0 -> 1 of C3
+    for G, vertices, order in ((gen_path(3), (0, 1, 2), (0, 1, 2)), (gen_cycle(3), [1, 0], (0, 1))):
+        kind = classify_component(G, vertices)
+        assert kind.tag is ComponentTag.DIRECTED_PATH
+        assert kind.vertices == order
 
 
 def test_classify_component_other(digon_triangle):
     kind = classify_component(digon_triangle, (0, 1, 2))
     assert kind.tag is ComponentTag.OTHER
+    # not weakly connected: two disjoint arcs, a path plus an isolated
+    # vertex, a path plus a cycle, and two cycles
+    for arcs in ([(0, 1), (2, 3)], [(0, 1), (1, 2)], [(0, 1), (2, 3), (3, 2)], [(0, 1), (1, 0), (2, 3), (3, 2)]):
+        kind = classify_component(new_digraph(4, arcs), (3, 2, 1, 0))
+        assert kind.tag is ComponentTag.OTHER
+        assert kind.vertices == (0, 1, 2, 3)
 
 
 def test_classify_component_isolated():
@@ -138,6 +146,8 @@ def test_classify_component_isolated():
     single = classify_component(new_digraph(3, []), (2,))
     assert single.tag is ComponentTag.ISOLATED_VERTEX
     assert single.vertices == (2,)
+    with pytest.raises(BadParameterError):
+        classify_component(gen_cycle(3), [])
 
 
 def test_classify_component_two_cycle():

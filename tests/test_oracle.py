@@ -138,6 +138,11 @@ def test_sweep_starts_at_most_one_worker_per_cpu(monkeypatch):
         monkeypatch.setattr("dgspec.oracle.os.cpu_count", lambda cpus=cpus: cpus)
         assert sweep(3, jobs=10**6).to_dict() == expected
         assert started == pools
+    # one task, so no pool however many CPUs and jobs
+    started.clear()
+    monkeypatch.setattr("dgspec.oracle.os.cpu_count", lambda: 3)
+    assert sweep(1, jobs=10**6).to_dict() == sweep(1).to_dict()
+    assert started == []
 
 
 def test_sweep_rejects_bad_max_n():
