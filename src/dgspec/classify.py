@@ -3,7 +3,8 @@
 A *splitting* covers the arcs of G by arc-disjoint sink-source digraphs
 (every vertex of a part only emits or only receives) such that a part using
 any of a vertex's out-arcs uses all of them, and likewise for in-arcs.
-Parts may share vertices.
+Parts may share vertices.  The parts are the graph's own components of the
+bipartite double B(G), the ``SplitPart`` records of ``digraph``.
 
 The lower bound 2R(G) is attained exactly when G splits into parts that are
 each complete from their sources to their sinks; the upper bound
@@ -16,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .digraph import Digraph, degree_profile, weak_components
+from .digraph import Digraph, SplitPart, degree_profile, weak_components
 from .errors import BadParameterError
 
 
@@ -33,15 +34,6 @@ class ComponentKind:
 
     tag: ComponentTag
     vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SplitPart:
-    """One sink-source piece of a splitting."""
-
-    sources: tuple[int, ...]
-    sinks: tuple[int, ...]
-    arcs: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -72,14 +64,13 @@ def find_splitting(G: Digraph) -> Splitting | None:
     components of the bipartite double pulled back to G: a component's
     minus copies become the part's sources, its plus copies the sinks.
     A splitting exists iff no component of the double contains both
-    copies of one vertex (both non-isolated).
+    copies of one vertex (both non-isolated); its parts are then the
+    graph's own ``SplitPart`` tuple.
     """
-    parts = []
-    for sources, sinks, arcs in G._double_components:
-        if not set(sources).isdisjoint(sinks):
-            return None
-        parts.append(SplitPart(sources, sinks, arcs))
-    return Splitting(tuple(parts))
+    parts = G._double_components
+    if any(not set(part.sources).isdisjoint(part.sinks) for part in parts):
+        return None
+    return Splitting(parts)
 
 
 def verify_splitting(G: Digraph, splitting: Splitting) -> bool:

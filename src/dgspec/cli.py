@@ -107,9 +107,7 @@ def report_data(G: Digraph, which: str, tol: float = 1e-9) -> dict:
     elif which == "randic":
         data["randic"] = randic_index(G)
     elif which == "bounds":
-        # the certificate's fields are in report order; max_deg is max_degree above
         data.update(asdict(bounds_certificate(G, tol)))
-        del data["max_deg"]
     elif which == "double":
         data["double_edges"] = double(G).edges
     elif which == "classify":

@@ -7,7 +7,8 @@ adjacency structure, the degree profile, the components of the bipartite
 double and the energy report are lazy attributes, built once and freed with
 the graph.  The weak components of G and the components of the bipartite
 double come from one union-find labelling, run over the arcs on n vertices
-or over the double's edges on 2n.
+or over the double's edges on 2n.  Each component of the double is one
+``SplitPart``, the record that energy, splitting and classify all read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadParameterError, LoopArcError, OutOfRangeError
 
@@ -59,25 +60,23 @@ class Digraph:
         return DegreeProfile(tuple(out_deg), tuple(in_deg), max_deg, len(self.arcs))
 
     @cached_property
-    def _double_components(self) -> tuple[DoubleComponent, ...]:
+    def _double_components(self) -> tuple[SplitPart, ...]:
         """Arc-carrying components of the bipartite double B(G), ordered by first source.
 
-        B(G) has an edge {u-, v+} per arc (u, v); a component's minus copies
-        are its sources and its plus copies its sinks, both sorted; its arcs
-        keep the sorted order of ``arcs``.  A vertex may be a source of one
-        component and a sink of another (or of the same one).
+        B(G) has an edge {u-, v+} per arc (u, v).  A vertex may be a source
+        of one component and a sink of another (or of the same one).
         """
         n = self.n
         root = _component_roots(2 * n, ((u, n + v) for u, v in self.arcs))
         grouped: dict[int, list[tuple[int, int]]] = {}
         for arc in self.arcs:  # share the arc tuples rather than copy them
             grouped.setdefault(root[arc[0]], []).append(arc)
-        parts = [
-            (tuple(sorted({u for u, _ in arcs})), tuple(sorted({v for _, v in arcs})), tuple(arcs))
+        # the arcs are sorted, so the groups arrive ordered by first source
+        # and each group's sources arrive ascending
+        return tuple(
+            SplitPart(tuple(dict.fromkeys(u for u, _ in arcs)), tuple(sorted({v for _, v in arcs})), tuple(arcs))
             for arcs in grouped.values()
-        ]
-        parts.sort(key=lambda p: p[0][0])
-        return tuple(parts)
+        )
 
     @cached_property
     def _energy(self) -> EnergyReport:
@@ -116,8 +115,13 @@ class DegreeProfile:
     arc_count: int
 
 
-# (sources, sinks, arcs) of one arc-carrying component of the bipartite double
-DoubleComponent = tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]
+class SplitPart(NamedTuple):
+    """One arc-carrying component of B(G): its minus copies are the sources
+    and its plus copies the sinks, both ascending; its arcs stay sorted."""
+
+    sources: tuple[int, ...]
+    sinks: tuple[int, ...]
+    arcs: tuple[tuple[int, int], ...]
 
 
 def new_digraph(n: int, arcs) -> Digraph:

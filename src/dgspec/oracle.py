@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from multiprocessing import Pool
 
 from .classify import classify_lower_equality, classify_upper_equality, find_splitting, verify_splitting
@@ -25,7 +26,7 @@ from .digraph import Digraph, degree_profile
 from .energy import adjacent_pair_check, edge_energy, energy_report, mcclelland_bound, vertex_degree_bound_check
 from .errors import BadParameterError
 from .hermitian import double, undirected_energy, undirected_randic
-from .randic import bounds_certificate, randic_index
+from .randic import bounds_certificate
 
 MAX_ENUM_N = 5
 
@@ -77,16 +78,6 @@ class CheckOutcome:
     def ok(self) -> bool:
         return all(r.ok for r in self.results.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "graph_code": self.graph_code,
-            "n": self.n,
-            "results": {
-                name: {"ok": r.ok, "slack": r.slack, "witness": r.witness}
-                for name, r in self.results.items()
-            },
-        }
-
 
 @dataclass(frozen=True)
 class SweepSummary:
@@ -122,8 +113,9 @@ class SweepSummary:
         }
 
 
+@lru_cache(maxsize=MAX_ENUM_N)
 def arc_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """All ordered pairs (u, v), u != v, in lexicographic order."""
+    """All ordered pairs (u, v), u != v, in lexicographic order (built once per n)."""
     return tuple((u, v) for u in range(n) for v in range(n) if u != v)
 
 
@@ -209,7 +201,7 @@ def check_graph(G: Digraph, tol: float = 1e-9) -> CheckOutcome:
     results["transfer_energy"] = PropertyResult(
         energy_dev <= tol * _TOL_SCALE["transfer_energy"], energy_dev, "graph"
     )
-    randic_dev = abs(2.0 * randic_index(G) - undirected_randic(H))
+    randic_dev = abs(2.0 * cert.randic - undirected_randic(H))
     results["transfer_randic"] = PropertyResult(
         randic_dev <= tol * _TOL_SCALE["transfer_randic"], randic_dev, "graph"
     )

@@ -18,7 +18,6 @@ class BoundsCertificate:
 
     randic: float
     energy: float
-    max_deg: int
     lower: float
     upper: float
     lower_slack: float
@@ -48,15 +47,13 @@ def bounds_certificate(G: Digraph, tol: float = 1e-9) -> BoundsCertificate:
     """
     randic = randic_index(G)
     energy = energy_report(G).total
-    max_deg = degree_profile(G).max_deg
     lower = 2.0 * randic
-    upper = 2.0 * math.sqrt(max_deg) * randic
+    upper = 2.0 * math.sqrt(degree_profile(G).max_deg) * randic
     lower_slack = energy - lower
     upper_slack = upper - energy
     return BoundsCertificate(
         randic=randic,
         energy=energy,
-        max_deg=max_deg,
         lower=lower,
         upper=upper,
         lower_slack=lower_slack,

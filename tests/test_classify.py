@@ -1,5 +1,7 @@
 import pytest
 
+import dgspec.classify
+import dgspec.digraph
 from dgspec import (
     ComponentTag,
     SplitPart,
@@ -55,6 +57,8 @@ def test_find_splitting_split_example(split_example):
         SplitPart(sources=(0, 1), sinks=(3, 4), arcs=((0, 3), (0, 4), (1, 3))),
         SplitPart(sources=(4,), sinks=(0, 1, 2), arcs=((4, 0), (4, 1), (4, 2))),
     )
+    assert splitting.parts is split_example._double_components
+    assert dgspec.classify.SplitPart is dgspec.digraph.SplitPart
     assert verify_splitting(split_example, splitting)
 
 

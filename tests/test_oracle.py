@@ -1,4 +1,3 @@
-import json
 import os
 
 import pytest
@@ -33,6 +32,7 @@ def test_enumeration_counts(n, count):
 def test_code_round_trip():
     pairs = arc_pairs(3)
     assert pairs == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+    assert arc_pairs(4) is arc_pairs(4)
     for code in (0, 1, 5, 63):
         assert code_of(digraph_of_code(3, code)) == code
 
@@ -88,9 +88,7 @@ def test_check_graph_vacuous_on_single_vertex():
 
 def test_check_outcome_deterministic(digon_triangle):
     fresh = new_digraph(3, [(0, 1), (1, 2), (0, 2), (2, 0)])
-    a = json.dumps(check_graph(digon_triangle, 1e-9).to_dict(), sort_keys=True)
-    b = json.dumps(check_graph(fresh, 1e-9).to_dict(), sort_keys=True)
-    assert a == b
+    assert check_graph(digon_triangle, 1e-9) == check_graph(fresh, 1e-9)
 
 
 def test_sweep_3():
