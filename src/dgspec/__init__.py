@@ -10,15 +10,11 @@ exhaustive small-graph oracle re-verifies every supported property.
 from .classify import (
     ComponentKind,
     ComponentTag,
-    Splitting,
     SplitPart,
     classify_component,
     classify_lower_equality,
     classify_upper_equality,
     find_splitting,
-    is_sink,
-    is_sink_source,
-    is_source,
     verify_splitting,
 )
 from .densela import SymEigen, adjacency, psd_sqrt, singular_values, sym_eigen
@@ -64,7 +60,6 @@ __all__ = [
     "Digraph",
     "EnergyReport",
     "SplitPart",
-    "Splitting",
     "SweepSummary",
     "SymEigen",
     "UndirectedGraph",
@@ -86,9 +81,6 @@ __all__ = [
     "gen_kbip",
     "gen_path",
     "gen_random",
-    "is_sink",
-    "is_sink_source",
-    "is_source",
     "mcclelland_bound",
     "new_digraph",
     "psd_sqrt",

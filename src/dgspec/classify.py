@@ -3,8 +3,8 @@
 A *splitting* covers the arcs of G by arc-disjoint sink-source digraphs
 (every vertex of a part only emits or only receives) such that a part using
 any of a vertex's out-arcs uses all of them, and likewise for in-arcs.
-Parts may share vertices.  The parts are the graph's own components of the
-bipartite double B(G), the ``SplitPart`` records of ``digraph``.
+Parts may share vertices.  A splitting is the graph's own ``SplitPart``
+tuple, the components of the bipartite double B(G); ``()`` when edgeless.
 
 The lower bound 2R(G) is attained exactly when G splits into parts that are
 each complete from their sources to their sinks; the upper bound
@@ -36,27 +36,7 @@ class ComponentKind:
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Splitting:
-    parts: tuple[SplitPart, ...]
-
-
-def is_sink(G: Digraph, v: int) -> bool:
-    """A vertex with no outgoing arcs."""
-    return len(G.out_neighbors(v)) == 0
-
-
-def is_source(G: Digraph, v: int) -> bool:
-    """A vertex with no incoming arcs."""
-    return len(G.in_neighbors(v)) == 0
-
-
-def is_sink_source(G: Digraph) -> bool:
-    """True iff every vertex is a sink or a source (isolated counts as both)."""
-    return all(is_sink(G, v) or is_source(G, v) for v in range(G.n))
-
-
-def find_splitting(G: Digraph) -> Splitting | None:
+def find_splitting(G: Digraph) -> tuple[SplitPart, ...] | None:
     """The finest splitting of G into sink-source digraphs, or None.
 
     Any part containing an arc (u, v) must absorb u's whole out-star and
@@ -64,16 +44,16 @@ def find_splitting(G: Digraph) -> Splitting | None:
     components of the bipartite double pulled back to G: a component's
     minus copies become the part's sources, its plus copies the sinks.
     A splitting exists iff no component of the double contains both
-    copies of one vertex (both non-isolated); its parts are then the
-    graph's own ``SplitPart`` tuple.
+    copies of one vertex (both non-isolated); it is then the graph's own
+    ``SplitPart`` tuple, ``()`` for an edgeless graph: test with ``is None``.
     """
     parts = G._double_components
     if any(not set(part.sources).isdisjoint(part.sinks) for part in parts):
         return None
-    return Splitting(parts)
+    return parts
 
 
-def verify_splitting(G: Digraph, splitting: Splitting) -> bool:
+def verify_splitting(G: Digraph, parts: tuple[SplitPart, ...]) -> bool:
     """Re-check the splitting invariants from scratch.
 
     Arc sets must partition the arcs of G; inside a part every arc must run
@@ -83,7 +63,7 @@ def verify_splitting(G: Digraph, splitting: Splitting) -> bool:
     """
     deg = degree_profile(G)
     covered: list[tuple[int, int]] = []
-    for part in splitting.parts:
+    for part in parts:
         sources, sinks = set(part.sources), set(part.sinks)
         out_here: dict[int, int] = {}
         in_here: dict[int, int] = {}
@@ -102,19 +82,20 @@ def verify_splitting(G: Digraph, splitting: Splitting) -> bool:
     return len(covered) == len(set(covered)) and set(covered) == set(G.arcs)
 
 
-def classify_lower_equality(G: Digraph) -> Splitting | None:
+def classify_lower_equality(G: Digraph) -> tuple[SplitPart, ...] | None:
     """Witness splitting when E(G) = 2R(G), else None.
 
     Equality holds exactly when G splits into parts that are complete from
-    sources to sinks, i.e. every part has |sources| * |sinks| arcs.
+    sources to sinks, i.e. every part has |sources| * |sinks| arcs.  The
+    edgeless graph's witness is ``()``, so test the result with ``is None``.
     """
-    splitting = find_splitting(G)
-    if splitting is None:
+    parts = find_splitting(G)
+    if parts is None:
         return None
-    for part in splitting.parts:
+    for part in parts:
         if len(part.arcs) != len(part.sources) * len(part.sinks):
             return None
-    return splitting
+    return parts
 
 
 def classify_component(G: Digraph, vertices) -> ComponentKind:

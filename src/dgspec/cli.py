@@ -111,14 +111,11 @@ def report_data(G: Digraph, which: str, tol: float = 1e-9) -> dict:
     elif which == "double":
         data["double_edges"] = double(G).edges
     elif which == "classify":
-        splitting = classify_lower_equality(G)
+        parts = classify_lower_equality(G)
         data["lower_equality"] = (
             None
-            if splitting is None
-            else [
-                {"sources": part.sources, "sinks": part.sinks, "arcs": part.arcs}
-                for part in splitting.parts
-            ]
+            if parts is None
+            else [{"sources": p.sources, "sinks": p.sinks, "arcs": p.arcs} for p in parts]
         )
         kinds = classify_upper_equality(G)
         data["upper_equality"] = (

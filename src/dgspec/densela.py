@@ -10,7 +10,7 @@ only tests call it.
 Matrices are plain float64 numpy arrays (row-major).  The eigensolver is
 LAPACK's symmetric driver behind a checked contract: symmetry is validated on
 entry and the achieved off-diagonal residual of ``Q^T S Q`` is validated
-against the requested tolerance on exit.  Eigenvector signs are left as
+against ``DEFAULT_EIG_TOL`` on exit.  Eigenvector signs are left as
 LAPACK returns them; they cancel exactly in ``Q f(L) Q^T``, in squared
 entries of ``Q`` and ``Q^T M``, and in the residual.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraph import Digraph
-from .errors import NoConvergenceError, NotPSDError, NotSymmetricError
+from .errors import BadParameterError, NoConvergenceError, NotPSDError, NotSymmetricError
 
 # Matrices further from their transpose than this are refused.
 SYMMETRY_TOL = 1e-12
@@ -32,7 +32,7 @@ SYMMETRY_TOL = 1e-12
 # Gram-matrix roundoff.
 PSD_TOL = -1e-9
 
-# Default relative off-diagonal residual demanded of a decomposition.
+# Relative off-diagonal residual demanded of every decomposition.
 DEFAULT_EIG_TOL = 1e-12
 
 
@@ -58,12 +58,13 @@ def adjacency(G: Digraph) -> np.ndarray:
     return A
 
 
-def sym_eigen(S: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> SymEigen:
+def sym_eigen(S: np.ndarray) -> SymEigen:
     """Eigendecompose a symmetric matrix, eigenvalues sorted descending.
 
-    Raises NotSymmetricError when ``S`` is not symmetric within 1e-12 and
+    Raises BadParameterError on non-finite entries, NotSymmetricError when
+    ``S`` is not square or not symmetric within 1e-12, and
     NoConvergenceError when the relative off-diagonal residual of the
-    decomposition exceeds ``tol``.
+    decomposition exceeds ``DEFAULT_EIG_TOL``.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
@@ -71,7 +72,7 @@ def sym_eigen(S: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> SymEigen:
     if S.size == 0:
         return SymEigen(np.zeros(0), np.zeros((0, 0)), 0.0)
     if not np.all(np.isfinite(S)):
-        raise ValueError("matrix contains non-finite entries")
+        raise BadParameterError("matrix contains non-finite entries")
     if np.max(np.abs(S - S.T)) > SYMMETRY_TOL:
         raise NotSymmetricError("matrix is not symmetric within 1e-12")
     try:
@@ -87,9 +88,9 @@ def sym_eigen(S: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> SymEigen:
     off = residual - np.diag(np.diag(residual))
     fro = float(np.linalg.norm(S))
     off_norm = float(np.linalg.norm(off) / fro) if fro > 0.0 else 0.0
-    if off_norm > tol:
+    if off_norm > DEFAULT_EIG_TOL:
         raise NoConvergenceError(
-            f"off-diagonal residual {off_norm:.3e} exceeds tolerance {tol:.3e}"
+            f"off-diagonal residual {off_norm:.3e} exceeds tolerance {DEFAULT_EIG_TOL:.3e}"
         )
     return SymEigen(eigenvalues, basis, off_norm)
 
@@ -137,7 +138,7 @@ def _gram_energies(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={B.ndim}")
+        raise BadParameterError(f"expected a 2-d matrix, got ndim={B.ndim}")
     wide = B.shape[0] <= B.shape[1]
     M = B if wide else B.T
     eig = sym_eigen(M @ M.T)

@@ -13,6 +13,7 @@ or over the double's edges on 2n.  Each component of the double is one
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,13 +41,6 @@ class Digraph:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.arcs:
             adj[u].append(v)
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
-    def _in_adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.arcs:
-            adj[v].append(u)
         return tuple(tuple(a) for a in adj)
 
     @cached_property
@@ -83,10 +77,6 @@ class Digraph:
         from .energy import _decompose  # energy imports this module
         return _decompose(self)
 
-    @property
-    def arc_count(self) -> int:
-        return len(self.arcs)
-
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self._arc_set
 
@@ -94,11 +84,6 @@ class Digraph:
         """Vertices w with an arc v -> w, ascending."""
         self._check_vertex(v)
         return self._out_adj[v]
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        """Vertices u with an arc u -> v, ascending."""
-        self._check_vertex(v)
-        return self._in_adj[v]
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -127,18 +112,28 @@ class SplitPart(NamedTuple):
 def new_digraph(n: int, arcs) -> Digraph:
     """Build a digraph on n vertices from an iterable of ordered pairs.
 
+    The count and the endpoints must be integers (anything ``operator.index``
+    takes, numpy integers and bools too; 0.5 is refused, not truncated).
     Endpoints must lie in 0..n-1 and loops are refused; repeated pairs
     collapse into the arc set (arcs form a set, not a multiset).
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise BadParameterError(f"vertex count must be an integer, got {n!r}") from None
     if n < 0:
         raise BadParameterError(f"vertex count must be nonnegative, got {n}")
     seen: set[tuple[int, int]] = set()
-    for u, v in arcs:
+    for arc in arcs:
+        try:
+            u, v = map(operator.index, arc)
+        except (TypeError, ValueError):
+            raise BadParameterError(f"arc {arc!r} is not a pair of integers") from None
         if not (0 <= u < n) or not (0 <= v < n):
             raise OutOfRangeError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise LoopArcError(f"loop arc ({u}, {v}) not allowed")
-        seen.add((int(u), int(v)))
+        seen.add((u, v))
     return Digraph(n, tuple(sorted(seen)))
 
 

@@ -18,7 +18,7 @@ class DuplicateArcError(DgspecError, ValueError):
 
 
 class BadParameterError(DgspecError, ValueError):
-    """A generator or enumeration parameter violates its precondition."""
+    """An argument (a parameter, count, label or matrix) violates its precondition."""
 
 
 class NotSymmetricError(DgspecError, ValueError):

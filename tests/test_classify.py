@@ -5,8 +5,8 @@ import dgspec.digraph
 from dgspec import (
     ComponentTag,
     SplitPart,
-    Splitting,
     bounds_certificate,
+    check_graph,
     classify_component,
     classify_lower_equality,
     classify_upper_equality,
@@ -17,47 +17,22 @@ from dgspec import (
     gen_cycle,
     gen_kbip,
     gen_path,
-    is_sink,
-    is_sink_source,
-    is_source,
     new_digraph,
     verify_splitting,
     weak_components,
 )
-from dgspec.errors import BadParameterError, OutOfRangeError
+from dgspec.errors import BadParameterError
 from dgspec.hermitian import undirected_degrees
-
-
-def test_sink_source_flags(split_example):
-    assert is_sink(split_example, 3)  # no outgoing arcs
-    assert not is_source(split_example, 3)
-    assert not is_sink(split_example, 0) and not is_source(split_example, 0)
-    assert not is_sink_source(split_example)
-
-
-def test_kbip_is_sink_source():
-    assert is_sink_source(gen_kbip(2, 3))
-
-
-def test_isolated_vertex_is_both():
-    G = new_digraph(1, [])
-    assert is_source(G, 0) and is_sink(G, 0)
-    assert is_sink_source(G)
-
-
-def test_vertex_query_out_of_range(split_example):
-    with pytest.raises(OutOfRangeError):
-        is_source(split_example, 5)
 
 
 def test_find_splitting_split_example(split_example):
     splitting = find_splitting(split_example)
     assert splitting is not None
-    assert splitting.parts == (
+    assert splitting == (
         SplitPart(sources=(0, 1), sinks=(3, 4), arcs=((0, 3), (0, 4), (1, 3))),
         SplitPart(sources=(4,), sinks=(0, 1, 2), arcs=((4, 0), (4, 1), (4, 2))),
     )
-    assert splitting.parts is split_example._double_components
+    assert splitting is split_example._double_components
     assert dgspec.classify.SplitPart is dgspec.digraph.SplitPart
     assert verify_splitting(split_example, splitting)
 
@@ -67,9 +42,14 @@ def test_find_splitting_none_for_transitive_triangle(unsplittable):
 
 
 def test_find_splitting_edgeless_is_empty():
-    splitting = find_splitting(new_digraph(3, []))
-    assert splitting == Splitting(())
-    assert verify_splitting(new_digraph(3, []), splitting)
+    G = new_digraph(3, [])
+    # the empty splitting is falsy: callers must test it with ``is None``
+    assert find_splitting(G) == ()
+    assert classify_lower_equality(G) == ()
+    assert verify_splitting(G, find_splitting(G))
+    # E = 2R = 0, and the empty splitting witnesses the lower equality
+    for n in range(1, 5):
+        assert check_graph(new_digraph(n, [])).results["lower_equality_iff"].ok
 
 
 def test_find_splitting_verifies_exhaustively():
@@ -87,22 +67,20 @@ def test_find_splitting_verifies_exhaustively():
 def test_verifier_rejects_bad_splittings(split_example):
     good = find_splitting(split_example)
     # drop an arc: no longer covers the graph
-    p0, p1 = good.parts
-    assert not verify_splitting(
-        split_example, Splitting((SplitPart(p0.sources, p0.sinks, p0.arcs[1:]), p1))
-    )
+    p0, p1 = good
+    assert not verify_splitting(split_example, (SplitPart(p0.sources, p0.sinks, p0.arcs[1:]), p1))
     # single part reusing a vertex on both sides: degree condition breaks
     all_arcs = tuple(sorted(split_example.arcs))
     lump = SplitPart((0, 1, 4), (0, 1, 2, 3, 4), all_arcs)
-    assert not verify_splitting(split_example, Splitting((lump,)))
+    assert not verify_splitting(split_example, (lump,))
 
 
 def test_classify_lower_kbip():
     splitting = classify_lower_equality(gen_kbip(2, 3))
     assert splitting is not None
-    assert len(splitting.parts) == 1
-    assert splitting.parts[0].sources == (0, 1)
-    assert splitting.parts[0].sinks == (2, 3, 4)
+    assert len(splitting) == 1
+    assert splitting[0].sources == (0, 1)
+    assert splitting[0].sinks == (2, 3, 4)
 
 
 def test_classify_lower_split_example_incomplete(split_example):
@@ -113,8 +91,8 @@ def test_classify_lower_split_example_incomplete(split_example):
 def test_classify_lower_path4():
     splitting = classify_lower_equality(gen_path(4))
     assert splitting is not None
-    assert len(splitting.parts) == 3
-    for part in splitting.parts:
+    assert len(splitting) == 3
+    for part in splitting:
         assert len(part.sources) == len(part.sinks) == len(part.arcs) == 1
 
 

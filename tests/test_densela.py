@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dgspec.densela
 from dgspec import (
     adjacency,
     degree_profile,
@@ -14,7 +15,7 @@ from dgspec import (
     singular_values,
     sym_eigen,
 )
-from dgspec.errors import NoConvergenceError, NotPSDError, NotSymmetricError
+from dgspec.errors import DgspecError, NoConvergenceError, NotPSDError, NotSymmetricError
 
 from _oracles import eig_2x2_sym, sqrt_2x2_spd
 
@@ -63,9 +64,17 @@ def test_sym_eigen_rejects_nonsymmetric():
         sym_eigen(np.zeros((2, 3)))
 
 
-def test_sym_eigen_unreachable_tolerance():
+def test_sym_eigen_unreachable_tolerance(monkeypatch):
+    monkeypatch.setattr(dgspec.densela, "DEFAULT_EIG_TOL", 0.0)
     with pytest.raises(NoConvergenceError):
-        sym_eigen(np.array([[2.0, 1.0], [1.0, 1.0]]), tol=0.0)
+        sym_eigen(np.array([[2.0, 1.0], [1.0, 1.0]]))
+
+
+def test_kernel_input_errors_are_package_errors():
+    with pytest.raises(DgspecError):
+        psd_sqrt(np.full((2, 2), np.nan))
+    with pytest.raises(DgspecError):
+        singular_values(np.ones(3))
 
 
 def test_sym_eigen_contract_on_random_symmetric():
