@@ -83,7 +83,6 @@ def parse_edge_list(text: str) -> Digraph:
             raise DuplicateArcError(f"line {lineno}: duplicate arc ({u}, {v})")
         seen[arc] = None
     n = declared_n if declared_n is not None else 1 + max(map(max, seen), default=-1)
-    # every arc is checked above, so the graph needs no second validation pass
     return Digraph(n, tuple(sorted(seen)))
 
 

@@ -1,14 +1,14 @@
 """Core directed-graph model: construction, degrees, reversal, weak
 connectivity, and the named generators used throughout the package.
 
-Vertices are dense integers 0..n-1.  Arcs are stored as a sorted tuple of
-ordered pairs, so a ``Digraph`` is immutable, hashable and cheap to compare;
-adjacency structure, the degree profile, the components of the bipartite
-double and the energy report are lazy attributes, built once and freed with
-the graph.  The weak components of G and the components of the bipartite
-double come from one union-find labelling, run over the arcs on n vertices
-or over the double's edges on 2n.  Each component of the double is one
-``SplitPart``, the record that energy, splitting and classify all read.
+Vertices are dense integers 0..n-1.  Arcs are a strictly increasing tuple of
+loop-free pairs of plain ints, which the constructor checks (``new_digraph``
+converts, collapses repeats and sorts first), so a ``Digraph`` is immutable,
+hashable and cheap to compare; adjacency, degrees, the components of the
+bipartite double and the energy report are lazy attributes, built once and
+freed with the graph.  One union-find labelling gives the weak components of
+G and the components of the double; each of the latter is one ``SplitPart``,
+the record that energy, splitting and classify all read.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadParameterError, LoopArcError, OutOfRangeError
@@ -27,10 +28,30 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class Digraph:
-    """Simple digraph: no loops, no parallel arcs, vertices 0..n-1."""
+    """Simple digraph: no loops, no parallel arcs, vertices 0..n-1.  Any other form
+    of ``n`` or ``arcs`` raises OutOfRangeError, LoopArcError or BadParameterError."""
 
     n: int
     arcs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        n, arcs = self.n, self.arcs
+        if type(n) is not int:
+            raise BadParameterError(f"vertex count must be an integer, got {n!r}")
+        if n < 0:
+            raise BadParameterError(f"vertex count must be nonnegative, got {n}")
+        if type(arcs) is not tuple:
+            raise BadParameterError(f"arcs must be a tuple, got {type(arcs).__name__}")
+        for arc in arcs:  # types first: the order test below compares the pairs
+            if type(arc) is not tuple or len(arc) != 2 or type(arc[0]) is not int or type(arc[1]) is not int:
+                raise BadParameterError(f"arc {arc!r} is not a pair of integers")
+            u, v = arc
+            if not (0 <= u < n and 0 <= v < n):
+                raise OutOfRangeError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
+            if u == v:
+                raise LoopArcError(f"loop arc ({u}, {v}) not allowed")
+        if not all(map(operator.lt, arcs, islice(arcs, 1, None))):
+            raise BadParameterError("arcs must be sorted, with no repeats")
 
     @cached_property
     def _arc_set(self) -> frozenset[tuple[int, int]]:
@@ -113,28 +134,26 @@ def new_digraph(n: int, arcs) -> Digraph:
     """Build a digraph on n vertices from an iterable of ordered pairs.
 
     The count and the endpoints must be integers (anything ``operator.index``
-    takes, numpy integers and bools too; 0.5 is refused, not truncated).
-    Endpoints must lie in 0..n-1 and loops are refused; repeated pairs
-    collapse into the arc set (arcs form a set, not a multiset).
+    takes, numpy integers and bools too; 0.5 is refused, not truncated), and
+    repeated pairs collapse (arcs form a set); ``Digraph`` checks the rest.
     """
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise BadParameterError(f"vertex count must be an integer, got {n!r}") from None
-    if n < 0:
-        raise BadParameterError(f"vertex count must be nonnegative, got {n}")
+    n = _count(n)
     seen: set[tuple[int, int]] = set()
     for arc in arcs:
         try:
             u, v = map(operator.index, arc)
         except (TypeError, ValueError):
             raise BadParameterError(f"arc {arc!r} is not a pair of integers") from None
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise OutOfRangeError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise LoopArcError(f"loop arc ({u}, {v}) not allowed")
         seen.add((u, v))
     return Digraph(n, tuple(sorted(seen)))
+
+
+def _count(n) -> int:
+    """A count as a plain int: anything ``operator.index`` takes, 2.5 refused."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise BadParameterError(f"vertex count must be an integer, got {n!r}") from None
 
 
 def degree_profile(G: Digraph) -> DegreeProfile:
@@ -188,6 +207,7 @@ def weak_components(G: Digraph) -> list[tuple[int, ...]]:
 
 def gen_cycle(n: int) -> Digraph:
     """Directed cycle: arcs i -> (i+1 mod n)."""
+    n = _count(n)
     if n < 2:
         raise BadParameterError(f"cycle needs at least 2 vertices, got {n}")
     return Digraph(n, tuple(sorted((i, (i + 1) % n) for i in range(n))))
@@ -195,6 +215,7 @@ def gen_cycle(n: int) -> Digraph:
 
 def gen_path(n: int) -> Digraph:
     """Directed path: arcs i -> i+1."""
+    n = _count(n)
     if n < 1:
         raise BadParameterError(f"path needs at least 1 vertex, got {n}")
     return Digraph(n, tuple((i, i + 1) for i in range(n - 1)))
@@ -202,6 +223,7 @@ def gen_path(n: int) -> Digraph:
 
 def gen_kbip(n: int, m: int) -> Digraph:
     """Complete source-to-sink bipartite digraph: n sources, m sinks, all n*m arcs."""
+    n, m = _count(n), _count(m)
     if n < 1 or m < 1:
         raise BadParameterError(f"both parts must be nonempty, got ({n}, {m})")
     return Digraph(n + m, tuple((i, n + j) for i in range(n) for j in range(m)))
@@ -213,8 +235,7 @@ def gen_random(n: int, p: float, seed: int) -> Digraph:
     Pairs are drawn in lexicographic order from ``random.Random(seed)``, so
     the result is bitwise reproducible for a fixed seed.
     """
-    if n < 0:
-        raise BadParameterError(f"vertex count must be nonnegative, got {n}")
+    n = _count(n)
     if not 0.0 <= p <= 1.0:
         raise BadParameterError(f"arc probability must lie in [0, 1], got {p}")
     rng = random.Random(seed)
@@ -231,4 +252,5 @@ def disjoint_union(*graphs: Digraph) -> Digraph:
     for g in graphs:
         arcs.extend((u + offset, v + offset) for u, v in g.arcs)
         offset += g.n
-    return Digraph(offset, tuple(sorted(arcs)))
+    # shifted copies of sorted tuples, joined in order, are already sorted
+    return Digraph(offset, tuple(arcs))

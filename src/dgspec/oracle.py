@@ -22,7 +22,7 @@ from functools import lru_cache
 from multiprocessing import Pool
 
 from .classify import classify_lower_equality, classify_upper_equality, find_splitting, verify_splitting
-from .digraph import Digraph, degree_profile
+from .digraph import Digraph, _count, degree_profile
 from .energy import adjacent_pair_check, edge_energy, energy_report, mcclelland_bound, vertex_degree_bound_check
 from .errors import BadParameterError
 from .hermitian import double, undirected_energy, undirected_randic
@@ -135,6 +135,7 @@ def digraph_of_code(n: int, code: int) -> Digraph:
 
 def enumerate_digraphs(n: int):
     """Yield every simple digraph on n vertices once, in increasing code order."""
+    n = _count(n)
     if not 1 <= n <= MAX_ENUM_N:
         raise BadParameterError(f"enumeration supports 1..{MAX_ENUM_N} vertices, got {n}")
     pair_count = n * (n - 1)

@@ -2,11 +2,18 @@
 
 Everything here is deliberately naive (plain lists, closed forms, direct
 counting) so the values it produces do not share a code path with the
-package under test.
+package under test.  ``relabel`` builds test inputs, not expected values.
 """
 
 import json
 import math
+
+from dgspec import new_digraph
+
+
+def relabel(G, perm):
+    """G with vertex v renamed perm[v]; perm may hold numpy integers."""
+    return new_digraph(G.n, ((perm[u], perm[v]) for u, v in G.arcs))
 
 
 def eig_2x2_sym(S):

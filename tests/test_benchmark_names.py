@@ -3,8 +3,8 @@
 The tracer wraps every public function a dgspec module defines, and a traced
 run fails when a declared ``<layer>.<fn>.(calls|ms|self_ms)`` metric has no
 function behind it, so deleting or renaming one of these functions must fail
-here first.  The benchmark's sweep op must also pass the golden check the
-benchmark applies to its output.
+here first.  The benchmark's sweep op and its parse-and-report op must also
+pass the checks the benchmark applies to their output.
 """
 
 import importlib
@@ -15,6 +15,10 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from dgspec import cli
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 FUNCTION_METRIC = re.compile(r"(\w+)\.(\w+)\.(calls|ms|self_ms)")
@@ -31,16 +35,30 @@ def test_per_layer_metrics_name_public_functions():
         assert inspect.isfunction(value) and value.__module__ == module.__name__, f"{layer}.{fn}"
 
 
-def test_benchmark_sweep_op_passes_its_golden_check(monkeypatch):
+@pytest.fixture
+def ops(monkeypatch):
+    """The benchmark's inputs, timed operations and checks (perfbench/ops.py)."""
+    spec = importlib.util.spec_from_file_location("perfbench_ops", BENCHMARK.parent / "perfbench" / "ops.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_sweep_op_passes_its_golden_check(ops):
     """The benchmark's sweep op, run as it runs there, passes the benchmark's own check."""
-    root = BENCHMARK.parent
-    spec = importlib.util.spec_from_file_location("perfbench_ops", root / "perfbench" / "ops.py")
-    ops = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, ops)  # dataclasses look their module up
-    spec.loader.exec_module(ops)
     worker = subprocess.run(
         [sys.executable, "perfbench/worker.py", "sweep", "--trace", "0"],
-        cwd=root, capture_output=True, text=True, check=True,
+        cwd=BENCHMARK.parent, capture_output=True, text=True, check=True,
     )
     result = json.loads(worker.stdout.strip().splitlines()[-1])
     assert ops.check_sweep(result["summary"]) == []
+
+
+@pytest.mark.parametrize("workload, count", [("dense", 1), ("blocks", 8)])
+def test_benchmark_report_op_passes_its_check(ops, workload, count):
+    """Parse and report the first timed inputs of a workload (eight cover every
+    ``blocks`` variant) and compare with the benchmark's own references."""
+    for index in range(count):
+        case = ops.make_case(workload, 1, ops.TIMED, index)
+        assert ops.check_reports(case, ops.reference(case), ops.run_op(cli, case.text)) == [], index

@@ -19,7 +19,7 @@ from dgspec import (
 from dgspec.digraph import Digraph
 from dgspec.errors import BadParameterError, LoopArcError, OutOfRangeError
 
-from _oracles import bfs_components
+from _oracles import bfs_components, relabel
 
 
 def test_new_digraph_builds_sorted_arc_set():
@@ -30,6 +30,38 @@ def test_new_digraph_builds_sorted_arc_set():
     twin = new_digraph(np.int64(3), [(np.int32(1), np.int64(2)), (False, True)])
     assert twin == G
     assert all(type(x) is int for arc in twin.arcs for x in (twin.n, *arc))
+
+
+def test_generators_take_numpy_counts():
+    # numpy counts give the plain-int graph, which the constructor requires
+    for built, want in (
+        (gen_cycle(np.int64(5)), gen_cycle(5)),
+        (gen_path(np.int32(4)), gen_path(4)),
+        (gen_kbip(np.int64(2), np.int16(3)), gen_kbip(2, 3)),
+        (gen_random(np.int64(6), 0.4, 7), gen_random(6, 0.4, 7)),
+    ):
+        assert built == want
+        assert all(type(x) is int for arc in built.arcs for x in (built.n, *arc))
+
+
+def test_constructor_refuses_non_canonical_arcs():
+    for n, arcs, error in (
+        (3, ((0, 0), (1, 2)), LoopArcError),
+        (2, ((0, 5),), OutOfRangeError),
+        (2, ((-1, 0),), OutOfRangeError),
+        (3, ((1, 2), (0, 1)), BadParameterError),  # unsorted
+        (2, ((0, 1), (0, 1)), BadParameterError),  # repeated
+        (3, ((0.5, 1),), BadParameterError),
+        (3, (("a", 1), (0, 1)), BadParameterError),  # types are checked before order
+        (3, [(0, 1)], BadParameterError),
+        (3, ((0, 1, 2),), BadParameterError),
+        (2.0, (), BadParameterError),
+        (-1, (), BadParameterError),
+    ):
+        with pytest.raises(error):
+            Digraph(n, arcs)
+    G = Digraph(3, ((0, 1),))
+    assert G == new_digraph(3, [(0, 1)]) and hash(G) == hash(new_digraph(3, [(0, 1)]))
 
 
 def test_new_digraph_rejects_loop():
@@ -147,6 +179,12 @@ def test_generator_preconditions():
         lambda: gen_kbip(1, 0),
         lambda: gen_random(3, 1.5, 0),
         lambda: gen_random(-1, 0.5, 0),
+        # counts must be integers too
+        lambda: gen_cycle(2.5),
+        lambda: gen_path(1.5),
+        lambda: gen_kbip(2.0, 2),
+        lambda: gen_random(2.5, 0.5, 1),
+        lambda: next(enumerate_digraphs(2.0)),
         # counts and labels must be integers: truncating would turn (0.5, 0) into a loop
         lambda: new_digraph(3, [(0.5, 0), (1, 2)]),
         lambda: new_digraph(3, [(0, 1.9)]),
@@ -178,8 +216,7 @@ def labelling_corpus(split_example):
     yield from (gen_random(n, p, s) for n in (10, 50, 120) for p in (0.05, 0.2, 0.6) for s in range(4))
     pieces = [gen_kbip(2, 3), gen_cycle(4), gen_path(5), gen_kbip(1, 4), split_example, new_digraph(2, [])]
     perm = np.random.default_rng(3).permutation(sum(P.n for P in pieces))
-    G = disjoint_union(*pieces)
-    yield Digraph(G.n, tuple(sorted((int(perm[u]), int(perm[v])) for u, v in G.arcs)))
+    yield relabel(disjoint_union(*pieces), perm)
 
 
 def test_component_labelling_matches_bfs(split_example):

@@ -24,10 +24,9 @@ from dgspec import (
     reverse,
     vertex_degree_bound_check,
 )
-from dgspec.digraph import Digraph
 from dgspec.errors import NoSuchArcError
 
-from _oracles import sqrt_2x2_spd
+from _oracles import relabel, sqrt_2x2_spd
 
 ROOT5 = math.sqrt(5.0)
 
@@ -197,10 +196,6 @@ def test_report_is_freed_with_its_graph():
     del G
     gc.collect()
     assert ref() is None
-
-
-def relabel(G, perm):
-    return Digraph(G.n, tuple(sorted((int(perm[u]), int(perm[v])) for u, v in G.arcs)))
 
 
 def test_permuted_union_reports_each_piece(split_example):

@@ -12,17 +12,15 @@ import pytest
 
 from dgspec import disjoint_union, gen_cycle, gen_kbip, gen_path, gen_random, new_digraph, sweep
 from dgspec.cli import REPORT_KINDS, emit_report, main, render_text, report_data
-from dgspec.digraph import Digraph
 from dgspec.oracle import enumerate_digraphs
 
-from _oracles import report_json, report_text
+from _oracles import relabel, report_json, report_text
 
 
 def permuted_union():
     pieces = [gen_kbip(2, 3), gen_cycle(5), gen_path(4), gen_kbip(3, 3), gen_cycle(2), gen_kbip(1, 4), new_digraph(3, [])]
     perm = np.random.default_rng(7).permutation(sum(P.n for P in pieces))
-    G = disjoint_union(*pieces)
-    return Digraph(G.n, tuple(sorted((int(perm[u]), int(perm[v])) for u, v in G.arcs)))
+    return relabel(disjoint_union(*pieces), perm)
 
 
 def corpus():
