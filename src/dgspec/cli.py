@@ -35,7 +35,7 @@ from .energy import energy_report
 from .errors import BadParameterError, DgspecError, DuplicateArcError, LoopArcError, OutOfRangeError, ParseError
 from .hermitian import double
 from .oracle import sweep
-from .randic import bounds_certificate, randic_index
+from .randic import DEFAULT_TOL, bounds_certificate, randic_index
 
 REPORT_KINDS = ("energy", "randic", "bounds", "double", "classify")
 
@@ -93,7 +93,7 @@ def serialize_edge_list(G: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_data(G: Digraph, which: str, tol: float = 1e-9) -> dict:
+def report_data(G: Digraph, which: str, tol: float = DEFAULT_TOL) -> dict:
     """Assemble the report for one subcommand as plain JSON-ready data."""
     deg = degree_profile(G)
     data: dict = {"n": G.n, "arc_count": deg.arc_count, "max_degree": deg.max_deg}
@@ -187,7 +187,7 @@ def _write(obj, nl: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def emit_report(G: Digraph, which: str, tol: float = 1e-9) -> str:
+def emit_report(G: Digraph, which: str, tol: float = DEFAULT_TOL) -> str:
     """The report for one subcommand as deterministic JSON text."""
     return _write(report_data(G, which, tol))
 
@@ -212,7 +212,7 @@ def _print_data(data: dict, fmt: str) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     G = _read_graph(args.file)
-    _print_data(report_data(G, args.which, args.tol), args.format)
+    _print_data(report_data(G, args.which, getattr(args, "tol", DEFAULT_TOL)), args.format)
     return 0
 
 
@@ -247,11 +247,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
-    common.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
+    # each subcommand takes only the options it reads
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="json", help="output format")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric tolerance")
 
     parser = argparse.ArgumentParser(
         prog="dgspec",
@@ -260,19 +260,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for which in REPORT_KINDS:
-        p = sub.add_parser(which, parents=[common], help=f"{which} report for FILE")
+        parents = [fmt, tol] if which == "bounds" else [fmt]
+        p = sub.add_parser(which, parents=parents, help=f"{which} report for FILE")
         p.add_argument("file", help="edge-list file, or - for stdin")
         p.set_defaults(func=_cmd_report, which=which)
 
-    p = sub.add_parser(
-        "gen", parents=[common], help="emit a generated graph as an edge list"
-    )
+    p = sub.add_parser("gen", help="emit a generated graph as an edge list")
     p.add_argument("kind", choices=tuple(_GENERATORS))
     p.add_argument("params", nargs="*", help="cycle/path: N; kbip: N M; random: N P SEED")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(
-        "sweep", parents=[common], help="exhaustive property check over small graphs"
+        "sweep", parents=[fmt, tol], help="exhaustive property check over small graphs"
     )
     p.add_argument("--max-n", type=int, required=True, help="largest vertex count")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU")
@@ -287,7 +286,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0.0):
             raise BadParameterError(f"--tol must be finite and >= 0, got {args.tol}")
         if getattr(args, "jobs", 1) < 1:
             raise BadParameterError(f"--jobs must be >= 1, got {args.jobs}")

@@ -26,7 +26,7 @@ import numpy as np
 from .densela import sym_eigen
 from .digraph import Digraph
 from .energy import energy_report
-from .randic import randic_index
+from .randic import DEFAULT_TOL, randic_index
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def undirected_randic(H: UndirectedGraph) -> float:
     return float(sum(1.0 / math.sqrt(deg[a] * deg[b]) for a, b in H.edges))
 
 
-def transfer_check(G: Digraph, tol: float = 1e-9) -> tuple[bool, bool]:
+def transfer_check(G: Digraph, tol: float = DEFAULT_TOL) -> tuple[bool, bool]:
     """Verify 2E(G) = E(B(G)) and 2R(G) = R(B(G)) within ``tol``.
 
     The two sides travel independent code paths, so agreement certifies

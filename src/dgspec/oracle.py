@@ -6,11 +6,9 @@ through the public operations of the other modules.  ``sweep`` runs the
 harness over every graph up to a vertex count and merges the outcomes;
 zero failures over n <= 4 is the repository's master correctness gate.
 
-Property tolerances are scaled from the harness base tolerance ``tol``:
-sum-accumulating identities (edge-energy sum, energy transfer, the two
-equality cross-validations) get 10x headroom, while the Randic transfer,
-which is exact degree arithmetic on both sides, is held 10x tighter.
-All other properties use ``tol`` directly.
+Each property is judged within ``tol`` times its own multiple from the one
+table ``_TOL_SCALE``: an inequality holds when its margin is at least
+``-tol * scale``, an identity when its deviation is at most ``tol * scale``.
 """
 
 from __future__ import annotations
@@ -22,36 +20,34 @@ from functools import lru_cache
 from multiprocessing import Pool
 
 from .classify import classify_lower_equality, classify_upper_equality, find_splitting, verify_splitting
-from .digraph import Digraph, _count, degree_profile
+from .digraph import Digraph, _count
 from .energy import adjacent_pair_check, edge_energy, energy_report, mcclelland_bound, vertex_degree_bound_check
 from .errors import BadParameterError
 from .hermitian import double, undirected_energy, undirected_randic
-from .randic import bounds_certificate
+from .randic import DEFAULT_TOL, bounds_certificate
 
 MAX_ENUM_N = 5
 
-PROPERTY_NAMES = (
-    "lower_bound",
-    "upper_bound",
-    "pair_product",
-    "pair_sum",
-    "vertex_degree_bound",
-    "mcclelland",
-    "edge_energy_sum",
-    "transfer_energy",
-    "transfer_randic",
-    "lower_equality_iff",
-    "upper_equality_iff",
-    "trace_agreement",
-)
-
+# each property's tolerance as a multiple of ``tol``, in report order: the
+# identities that accumulate sums over arcs or spectra (edge-energy sum,
+# energy transfer, the two equality cross-validations) get 10x headroom,
+# while the Randic transfer, exact degree arithmetic on both sides, is held
+# 10x tighter
 _TOL_SCALE = {
+    "lower_bound": 1.0,
+    "upper_bound": 1.0,
+    "pair_product": 1.0,
+    "pair_sum": 1.0,
+    "vertex_degree_bound": 1.0,
+    "mcclelland": 1.0,
     "edge_energy_sum": 10.0,
     "transfer_energy": 10.0,
+    "transfer_randic": 0.1,
     "lower_equality_iff": 10.0,
     "upper_equality_iff": 10.0,
-    "transfer_randic": 0.1,
+    "trace_agreement": 1.0,
 }
+PROPERTY_NAMES = tuple(_TOL_SCALE)
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,6 @@ class PropertyResult:
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    graph_code: int
-    n: int
     results: dict[str, PropertyResult]
 
     def ok(self) -> bool:
@@ -119,31 +113,20 @@ def arc_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(n) if u != v)
 
 
-def code_of(G: Digraph) -> int:
-    """The arc-bitmask code of a digraph (bit i = i-th lexicographic pair)."""
-    code = 0
-    for u, v in G.arcs:
-        # the pairs (u, .) start at bit u * (G.n - 1), and (u, u) is skipped
-        code |= 1 << (u * (G.n - 1) + v - (v > u))
-    return code
-
-
 def digraph_of_code(n: int, code: int) -> Digraph:
     pairs = arc_pairs(n)
     return Digraph(n, tuple(pairs[i] for i in range(len(pairs)) if code >> i & 1))
 
 
 def enumerate_digraphs(n: int):
-    """Yield every simple digraph on n vertices once, in increasing code order."""
+    """Every simple digraph on n vertices once, lazily, in increasing code order."""
     n = _count(n)
     if not 1 <= n <= MAX_ENUM_N:
         raise BadParameterError(f"enumeration supports 1..{MAX_ENUM_N} vertices, got {n}")
-    pair_count = n * (n - 1)
-    for code in range(1 << pair_count):
-        yield digraph_of_code(n, code)
+    return (digraph_of_code(n, code) for code in range(1 << (n * (n - 1))))
 
 
-def check_graph(G: Digraph, tol: float = 1e-9) -> CheckOutcome:
+def check_graph(G: Digraph, tol: float = DEFAULT_TOL) -> CheckOutcome:
     """Evaluate the twelve properties on one digraph.
 
     Failures are recorded in the outcome, never raised; every proved
@@ -154,25 +137,21 @@ def check_graph(G: Digraph, tol: float = 1e-9) -> CheckOutcome:
     cert = bounds_certificate(G, tol)
     results: dict[str, PropertyResult] = {}
 
-    results["lower_bound"] = PropertyResult(
-        cert.lower_slack >= -tol, cert.lower_slack, "graph"
-    )
-    results["upper_bound"] = PropertyResult(
-        cert.upper_slack >= -tol, cert.upper_slack, "graph"
-    )
+    def bound(name: str, margin: float, witness: str = "graph") -> None:
+        results[name] = PropertyResult(margin >= -tol * _TOL_SCALE[name], margin, witness)
+
+    def identity(name: str, deviation: float) -> None:
+        results[name] = PropertyResult(deviation <= tol * _TOL_SCALE[name], deviation, "graph")
+
+    bound("lower_bound", cert.lower_slack)
+    bound("upper_bound", cert.upper_slack)
 
     pair_checks = adjacent_pair_check(G)
     if pair_checks:
         worst_prod = min(pair_checks, key=lambda c: c.product)
         worst_sum = min(pair_checks, key=lambda c: c.sum)
-        results["pair_product"] = PropertyResult(
-            worst_prod.product >= 1.0 - tol,
-            worst_prod.product - 1.0,
-            f"arc {worst_prod.arc}",
-        )
-        results["pair_sum"] = PropertyResult(
-            worst_sum.sum >= 2.0 - tol, worst_sum.sum - 2.0, f"arc {worst_sum.arc}"
-        )
+        bound("pair_product", worst_prod.product - 1.0, f"arc {worst_prod.arc}")
+        bound("pair_sum", worst_sum.sum - 2.0, f"arc {worst_sum.arc}")
     else:
         results["pair_product"] = PropertyResult(True, None, None)
         results["pair_sum"] = PropertyResult(True, None, None)
@@ -180,32 +159,19 @@ def check_graph(G: Digraph, tol: float = 1e-9) -> CheckOutcome:
     degree_checks = vertex_degree_bound_check(G)
     if degree_checks:
         worst = min(degree_checks, key=lambda c: min(c.out_slack, c.in_slack))
-        slack = min(worst.out_slack, worst.in_slack)
-        results["vertex_degree_bound"] = PropertyResult(
-            slack >= -tol, slack, f"vertex {worst.vertex}"
-        )
+        bound("vertex_degree_bound", min(worst.out_slack, worst.in_slack), f"vertex {worst.vertex}")
     else:
         results["vertex_degree_bound"] = PropertyResult(True, None, None)
 
     out_sum, in_sum, root_an = mcclelland_bound(G)
-    mc_slack = min(min(out_sum, in_sum) - rep.total, root_an - max(out_sum, in_sum))
-    results["mcclelland"] = PropertyResult(mc_slack >= -tol, mc_slack, "graph")
+    bound("mcclelland", min(min(out_sum, in_sum) - rep.total, root_an - max(out_sum, in_sum)))
 
     edge_sum = sum(edge_energy(G, arc) for arc in G.arcs)
-    edge_dev = abs(edge_sum - 2.0 * rep.total)
-    results["edge_energy_sum"] = PropertyResult(
-        edge_dev <= tol * _TOL_SCALE["edge_energy_sum"], edge_dev, "graph"
-    )
+    identity("edge_energy_sum", abs(edge_sum - 2.0 * rep.total))
 
     H = double(G)
-    energy_dev = abs(2.0 * rep.total - undirected_energy(H))
-    results["transfer_energy"] = PropertyResult(
-        energy_dev <= tol * _TOL_SCALE["transfer_energy"], energy_dev, "graph"
-    )
-    randic_dev = abs(2.0 * cert.randic - undirected_randic(H))
-    results["transfer_randic"] = PropertyResult(
-        randic_dev <= tol * _TOL_SCALE["transfer_randic"], randic_dev, "graph"
-    )
+    identity("transfer_energy", abs(2.0 * rep.total - undirected_energy(H)))
+    identity("transfer_randic", abs(2.0 * cert.randic - undirected_randic(H)))
 
     splitting = find_splitting(G)
     splitting_valid = splitting is None or verify_splitting(G, splitting)
@@ -223,10 +189,9 @@ def check_graph(G: Digraph, tol: float = 1e-9) -> CheckOutcome:
         upper_struct == upper_numeric, cert.upper_slack, "graph"
     )
 
-    trace_dev = abs(float(rep.vertex_out.sum()) - float(rep.vertex_in.sum()))
-    results["trace_agreement"] = PropertyResult(trace_dev <= tol, trace_dev, "graph")
+    identity("trace_agreement", abs(float(rep.vertex_out.sum()) - float(rep.vertex_in.sum())))
 
-    return CheckOutcome(code_of(G), G.n, results)
+    return CheckOutcome(results)
 
 
 def _sweep_chunk(task: tuple[int, int, int, float]) -> SweepSummary:
@@ -243,7 +208,7 @@ def _sweep_chunk(task: tuple[int, int, int, float]) -> SweepSummary:
             if result.ok:
                 passes[name] += 1
             else:
-                failures.append((n, code, name, result.witness or "graph"))
+                failures.append((n, code, name, result.witness))
         prod = outcome.results["pair_product"].slack
         if prod is not None:
             min_product = min(min_product, prod + 1.0)
@@ -265,7 +230,7 @@ def _merge(max_n: int, tol: float, chunks: list[SweepSummary]) -> SweepSummary:
     )
 
 
-def sweep(max_n: int, tol: float = 1e-9, jobs: int = 1) -> SweepSummary:
+def sweep(max_n: int, tol: float = DEFAULT_TOL, jobs: int = 1) -> SweepSummary:
     """Run check_graph over every digraph with 1..max_n vertices.
 
     ``jobs`` > 1 partitions the code space across worker processes, at most

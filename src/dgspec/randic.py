@@ -11,6 +11,10 @@ from dataclasses import dataclass
 from .digraph import Digraph, degree_profile
 from .energy import energy_report
 
+# the tolerance every verdict defaults to: the bound-chain equality flags,
+# the oracle's property judgements and the CLI's --tol
+DEFAULT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BoundsCertificate:
@@ -39,7 +43,7 @@ def randic_index(G: Digraph) -> float:
     )
 
 
-def bounds_certificate(G: Digraph, tol: float = 1e-9) -> BoundsCertificate:
+def bounds_certificate(G: Digraph, tol: float = DEFAULT_TOL) -> BoundsCertificate:
     """Evaluate both bounds and flag equality cases within ``tol``.
 
     An edgeless graph has energy = Randic = 0 and both flags true (the

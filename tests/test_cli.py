@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -5,8 +6,16 @@ import tracemalloc
 
 import pytest
 
-from dgspec import gen_cycle, gen_kbip, new_digraph
-from dgspec.cli import emit_report, main, parse_edge_list, render_text, report_data, serialize_edge_list
+from dgspec import bounds_certificate, check_graph, gen_cycle, gen_kbip, new_digraph, sweep, transfer_check
+from dgspec.cli import (
+    build_parser,
+    emit_report,
+    main,
+    parse_edge_list,
+    render_text,
+    report_data,
+    serialize_edge_list,
+)
 from dgspec.errors import (
     DuplicateArcError,
     LoopArcError,
@@ -16,6 +25,7 @@ from dgspec.errors import (
     OutOfRangeError,
     ParseError,
 )
+from dgspec.randic import DEFAULT_TOL
 
 
 def test_parse_digon_triangle(digon_triangle):
@@ -217,6 +227,36 @@ def test_main_usage_error_exits_2(capsys):
     ):
         assert main(argv) == 2, argv
         assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv,code,needle",
+    [
+        (["energy", "--tol", "1e-6", "FILE"], 2, "--tol"),
+        (["randic", "--tol", "1e-6", "FILE"], 2, "--tol"),
+        (["double", "--tol", "1e-6", "FILE"], 2, "--tol"),
+        (["classify", "--tol", "1e-6", "FILE"], 2, "--tol"),
+        (["gen", "cycle", "3", "--tol", "1"], 2, "--tol"),
+        (["gen", "cycle", "3", "--format", "text"], 2, "--format"),
+        (["bounds", "--tol", "1e-3", "FILE"], 0, '"tolerance": 0.001'),
+        (["sweep", "--max-n", "2", "--tol", "1e-6", "--format", "text"], 0, "total_graphs: 5"),
+    ],
+)
+def test_main_option_roster(tmp_path, capsys, argv, code, needle):
+    # --tol only where a verdict reads it, --format only where a report is printed;
+    # a refused option is an argparse usage error, so stderr holds the usage too
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 0\n")
+    assert main([str(path) if a == "FILE" else a for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert needle in (out if code == 0 else err)
+
+
+def test_one_default_tolerance():
+    for f in (bounds_certificate, transfer_check, check_graph, sweep, report_data, emit_report):
+        assert inspect.signature(f).parameters["tol"].default is DEFAULT_TOL, f
+    assert build_parser().parse_args(["bounds", "-"]).tol is DEFAULT_TOL
+    assert build_parser().parse_args(["sweep", "--max-n", "2"]).tol is DEFAULT_TOL
 
 
 def test_main_gen_reports_the_generators_reason(capsys):

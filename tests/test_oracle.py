@@ -11,8 +11,9 @@ from dgspec import (
     new_digraph,
     sweep,
 )
+from dgspec import oracle
 from dgspec.errors import BadParameterError
-from dgspec.oracle import PROPERTY_NAMES, arc_pairs, code_of, digraph_of_code
+from dgspec.oracle import PROPERTY_NAMES, arc_pairs, digraph_of_code
 
 
 def test_property_name_roster():
@@ -26,22 +27,22 @@ def test_enumeration_counts(n, count):
     assert len(graphs) == count
     assert len({g.arcs for g in graphs}) == count  # duplicate-free
     for i, g in enumerate(graphs):
-        assert code_of(g) == i  # increasing code order
+        assert g == digraph_of_code(n, i)  # increasing code order
 
 
 def test_code_round_trip():
     pairs = arc_pairs(3)
     assert pairs == ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
     assert arc_pairs(4) is arc_pairs(4)
-    for code in (0, 1, 5, 63):
-        assert code_of(digraph_of_code(3, code)) == code
+    for code, arcs in ((0, ()), (1, ((0, 1),)), (5, ((0, 1), (1, 0))), (63, pairs)):
+        assert digraph_of_code(3, code).arcs == arcs
 
 
 def test_enumeration_rejects_bad_n():
-    with pytest.raises(BadParameterError):
-        list(enumerate_digraphs(0))
-    with pytest.raises(BadParameterError):
-        list(enumerate_digraphs(6))
+    # the count is checked at the call, not when the first graph is drawn
+    for n in (0, 6, 2.0):
+        with pytest.raises(BadParameterError):
+            enumerate_digraphs(n)
 
 
 def test_check_graph_digon_triangle(digon_triangle):
@@ -58,6 +59,23 @@ def test_check_graph_cycle_equalities():
     assert outcome.ok()
     assert abs(outcome.results["lower_equality_iff"].slack) <= 1e-12
     assert abs(outcome.results["upper_equality_iff"].slack) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "target,prop,multiple,ok",
+    [
+        ("undirected_energy", "transfer_energy", 5.0, True),
+        ("undirected_energy", "transfer_energy", 20.0, False),
+        ("undirected_randic", "transfer_randic", 0.05, True),
+        ("undirected_randic", "transfer_randic", 0.5, False),
+    ],
+)
+def test_tolerance_multiples_at_their_boundaries(monkeypatch, target, prop, multiple, ok):
+    # the energy transfer is judged within 10 tol, the Randic transfer within 0.1 tol
+    tol = 1e-9
+    exact = getattr(oracle, target)
+    monkeypatch.setattr(oracle, target, lambda H: exact(H) + multiple * tol)
+    assert check_graph(gen_cycle(4), tol).results[prop].ok is ok
 
 
 def test_check_graph_transitive_triangle(unsplittable):
