@@ -42,7 +42,6 @@ from .energy import (
 from .hermitian import (
     UndirectedGraph,
     double,
-    transfer_check,
     undirected_energy,
     undirected_randic,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "singular_values",
     "sweep",
     "sym_eigen",
-    "transfer_check",
     "undirected_energy",
     "undirected_randic",
     "verify_splitting",

@@ -86,15 +86,12 @@ def classify_lower_equality(G: Digraph) -> tuple[SplitPart, ...] | None:
     """Witness splitting when E(G) = 2R(G), else None.
 
     Equality holds exactly when G splits into parts that are complete from
-    sources to sinks, i.e. every part has |sources| * |sinks| arcs.  The
+    sources to sinks (``SplitPart.complete``: |sources| * |sinks| arcs).  The
     edgeless graph's witness is ``()``, so test the result with ``is None``.
     """
     parts = find_splitting(G)
-    if parts is None:
+    if parts is None or not all(part.complete for part in parts):
         return None
-    for part in parts:
-        if len(part.arcs) != len(part.sources) * len(part.sinks):
-            return None
     return parts
 
 

@@ -129,6 +129,11 @@ class SplitPart(NamedTuple):
     sinks: tuple[int, ...]
     arcs: tuple[tuple[int, int], ...]
 
+    @property
+    def complete(self) -> bool:
+        """Every source joined to every sink: the part of a lower-equality splitting."""
+        return len(self.arcs) == len(self.sources) * len(self.sinks)
+
 
 def new_digraph(n: int, arcs) -> Digraph:
     """Build a digraph on n vertices from an iterable of ordered pairs.

@@ -13,8 +13,9 @@ r sources and E- = sqrt(r/c) on each of its c sinks.  Any other block runs
 one checked eigensolve of its smaller Gram matrix (dimension min(r, c)) in
 ``densela``, which yields its singular values and both energy diagonals.
 
-The pair and degree-bound checks return measurements only: rounding in an
-eigensolve grows with the block's conditioning, so the verdict is left to
+The pair and degree-bound checks measure and never judge: each returns two
+float arrays, aligned with ``G.arcs`` or with the vertices.  Rounding in an
+eigensolve grows with the block's conditioning, so the verdict belongs to
 ``oracle.check_graph`` and the caller's tolerance.
 """
 
@@ -40,28 +41,6 @@ class EnergyReport:
     vertex_in: np.ndarray
 
 
-@dataclass(frozen=True)
-class PairCheck:
-    """Product/sum of outer and inner energy across one arc (v, w)."""
-
-    arc: tuple[int, int]
-    product: float
-    sum: float
-
-
-@dataclass(frozen=True)
-class VertexBoundCheck:
-    """Vertex energies against the square roots of the matching degrees."""
-
-    vertex: int
-    out_energy: float
-    out_bound: float
-    out_slack: float
-    in_energy: float
-    in_bound: float
-    in_slack: float
-
-
 def energy_report(G: Digraph) -> EnergyReport:
     """Full energy report of a digraph, kept on the graph (arrays are read-only).
 
@@ -75,9 +54,10 @@ def _decompose(G: Digraph) -> EnergyReport:
     vertex_out = np.zeros(G.n)
     vertex_in = np.zeros(G.n)
     values: list[float] = []
-    for sources, sinks, arcs in G._double_components:
+    for part in G._double_components:
+        sources, sinks, arcs = part
         r, c = len(sources), len(sinks)
-        if len(arcs) == r * c:
+        if part.complete:
             # an all-ones r x c block has rank 1: sigma = sqrt(rc) and its
             # Gram roots are sqrt(rc) J / r and sqrt(rc) J / c
             values.append(math.sqrt(r * c))
@@ -112,43 +92,25 @@ def edge_energy(G: Digraph, arc: tuple[int, int]) -> float:
     return float(rep.vertex_out[v] / deg.out_deg[v] + rep.vertex_in[w] / deg.in_deg[w])
 
 
-def adjacent_pair_check(G: Digraph) -> list[PairCheck]:
-    """Per arc (v, w): the product and sum of E+(v) and E-(w).
+def adjacent_pair_check(G: Digraph) -> tuple[np.ndarray, np.ndarray]:
+    """(products, sums): entry i is E+(v) * E-(w) and E+(v) + E-(w) for the
+    arc G.arcs[i] = (v, w).
 
     For arcs of a simple digraph the product is at least 1 and the sum at
     least 2.
     """
     rep = energy_report(G)
-    checks = []
-    for v, w in G.arcs:
-        product = float(rep.vertex_out[v] * rep.vertex_in[w])
-        pair_sum = float(rep.vertex_out[v] + rep.vertex_in[w])
-        checks.append(PairCheck((v, w), product, pair_sum))
-    return checks
+    tails, heads = np.array(G.arcs, dtype=np.intp).reshape(-1, 2).T
+    out_e, in_e = rep.vertex_out[tails], rep.vertex_in[heads]
+    return out_e * in_e, out_e + in_e
 
 
-def vertex_degree_bound_check(G: Digraph) -> list[VertexBoundCheck]:
-    """Per vertex: E+(v) against sqrt(d+(v)) and E-(v) against sqrt(d-(v))."""
+def vertex_degree_bound_check(G: Digraph) -> tuple[np.ndarray, np.ndarray]:
+    """(out_slack, in_slack): entry v is sqrt(d+(v)) - E+(v) and
+    sqrt(d-(v)) - E-(v), which the theorem says are nonnegative."""
     rep = energy_report(G)
     deg = degree_profile(G)
-    checks = []
-    for v in range(G.n):
-        out_bound = math.sqrt(deg.out_deg[v])
-        in_bound = math.sqrt(deg.in_deg[v])
-        out_slack = out_bound - float(rep.vertex_out[v])
-        in_slack = in_bound - float(rep.vertex_in[v])
-        checks.append(
-            VertexBoundCheck(
-                vertex=v,
-                out_energy=float(rep.vertex_out[v]),
-                out_bound=out_bound,
-                out_slack=out_slack,
-                in_energy=float(rep.vertex_in[v]),
-                in_bound=in_bound,
-                in_slack=in_slack,
-            )
-        )
-    return checks
+    return np.sqrt(deg.out_deg) - rep.vertex_out, np.sqrt(deg.in_deg) - rep.vertex_in
 
 
 def mcclelland_bound(G: Digraph) -> tuple[float, float, float]:

@@ -4,11 +4,11 @@ an edge {i-, j+} per arc (i, j).  Doubling transfers the invariants:
 
     2 E(G) = E(B(G))        2 R(G) = R(B(G))
 
-which this module verifies through genuinely independent code paths (the
-digraph side decomposes each component of B(G) on its own, by closed form
-when it is complete and by one eigensolve of its smaller Gram matrix
-otherwise; the double side runs one full symmetric eigensolve of the
-2n x 2n adjacency).
+which ``oracle.check_graph`` verifies through genuinely independent code
+paths (the digraph side decomposes each component of B(G) on its own, by
+closed form when it is complete and by one eigensolve of its smaller Gram
+matrix otherwise; this module's side runs one full symmetric eigensolve of
+the 2n x 2n adjacency).
 
 ``double`` returns B(G) as a plain ``UndirectedGraph`` on 2n vertices.  Its
 layout: indices 0..n-1 are the minus copies and n..2n-1 the plus copies,
@@ -25,8 +25,6 @@ import numpy as np
 
 from .densela import sym_eigen
 from .digraph import Digraph
-from .energy import energy_report
-from .randic import DEFAULT_TOL, randic_index
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,8 @@ def double(G: Digraph) -> UndirectedGraph:
 
     Vertex i- is index i and vertex i+ is index n + i.
     """
-    return UndirectedGraph(2 * G.n, tuple(sorted((u, G.n + v) for u, v in G.arcs)))
+    # G.arcs is strictly increasing, so the pairs arrive sorted
+    return UndirectedGraph(2 * G.n, tuple((u, G.n + v) for u, v in G.arcs))
 
 
 def undirected_energy(H: UndirectedGraph) -> float:
@@ -71,15 +70,3 @@ def undirected_randic(H: UndirectedGraph) -> float:
     """Sum over edges of 1/sqrt(product of endpoint degrees)."""
     deg = undirected_degrees(H)
     return float(sum(1.0 / math.sqrt(deg[a] * deg[b]) for a, b in H.edges))
-
-
-def transfer_check(G: Digraph, tol: float = DEFAULT_TOL) -> tuple[bool, bool]:
-    """Verify 2E(G) = E(B(G)) and 2R(G) = R(B(G)) within ``tol``.
-
-    The two sides travel independent code paths, so agreement certifies
-    both pipelines at once.
-    """
-    H = double(G)
-    energy_ok = abs(2.0 * energy_report(G).total - undirected_energy(H)) <= tol
-    randic_ok = abs(2.0 * randic_index(G) - undirected_randic(H)) <= tol
-    return energy_ok, randic_ok

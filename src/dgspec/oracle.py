@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import Pool
 
+import numpy as np
+
 from .classify import classify_lower_equality, classify_upper_equality, find_splitting, verify_splitting
 from .digraph import Digraph, _count
 from .energy import adjacent_pair_check, edge_energy, energy_report, mcclelland_bound, vertex_degree_bound_check
@@ -146,20 +148,19 @@ def check_graph(G: Digraph, tol: float = DEFAULT_TOL) -> CheckOutcome:
     bound("lower_bound", cert.lower_slack)
     bound("upper_bound", cert.upper_slack)
 
-    pair_checks = adjacent_pair_check(G)
-    if pair_checks:
-        worst_prod = min(pair_checks, key=lambda c: c.product)
-        worst_sum = min(pair_checks, key=lambda c: c.sum)
-        bound("pair_product", worst_prod.product - 1.0, f"arc {worst_prod.arc}")
-        bound("pair_sum", worst_sum.sum - 2.0, f"arc {worst_sum.arc}")
+    products, sums = adjacent_pair_check(G)
+    if G.arcs:
+        i, j = int(products.argmin()), int(sums.argmin())
+        bound("pair_product", float(products[i]) - 1.0, f"arc {G.arcs[i]}")
+        bound("pair_sum", float(sums[j]) - 2.0, f"arc {G.arcs[j]}")
     else:
         results["pair_product"] = PropertyResult(True, None, None)
         results["pair_sum"] = PropertyResult(True, None, None)
 
-    degree_checks = vertex_degree_bound_check(G)
-    if degree_checks:
-        worst = min(degree_checks, key=lambda c: min(c.out_slack, c.in_slack))
-        bound("vertex_degree_bound", min(worst.out_slack, worst.in_slack), f"vertex {worst.vertex}")
+    vertex_slack = np.minimum(*vertex_degree_bound_check(G))
+    if G.n:
+        v = int(vertex_slack.argmin())
+        bound("vertex_degree_bound", float(vertex_slack[v]), f"vertex {v}")
     else:
         results["vertex_degree_bound"] = PropertyResult(True, None, None)
 

@@ -28,8 +28,8 @@ from dgspec import (
     psd_sqrt,
     randic_index,
     sweep,
-    transfer_check,
     undirected_energy,
+    undirected_randic,
 )
 from dgspec.cli import main
 from dgspec.oracle import PROPERTY_NAMES
@@ -115,10 +115,12 @@ def test_criterion_4_worked_three_vertex_example(digon_triangle):
         assert abs(rep.total - (1 + root5)) <= 1e-9
         assert np.allclose(rep.vertex_out, [3 / root5, 2 / root5, 1.0], atol=1e-9)
         assert np.allclose(rep.vertex_in, [1.0, 2 / root5, 3 / root5], atol=1e-9)
-        pair = {c.arc: c for c in adjacent_pair_check(digon_triangle)}[(2, 0)]
-        assert abs(pair.product - 1.0) <= 1e-9
+        products, _ = adjacent_pair_check(digon_triangle)
+        assert abs(products[digon_triangle.arcs.index((2, 0))] - 1.0) <= 1e-9
         assert abs(2 * randic_index(digon_triangle) - (math.sqrt(2) + 1.5)) <= 1e-10
-        assert transfer_check(digon_triangle) == (True, True)
+        H = double(digon_triangle)
+        assert abs(2 * rep.total - undirected_energy(H)) <= 1e-9
+        assert abs(2 * randic_index(digon_triangle) - undirected_randic(H)) <= 1e-9
 
 
 def test_criterion_5_numerical_kernel_at_scale():

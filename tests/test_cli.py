@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from dgspec import bounds_certificate, check_graph, gen_cycle, gen_kbip, new_digraph, sweep, transfer_check
+from dgspec import bounds_certificate, check_graph, gen_cycle, gen_kbip, new_digraph, sweep
 from dgspec.cli import (
     build_parser,
     emit_report,
@@ -253,7 +253,7 @@ def test_main_option_roster(tmp_path, capsys, argv, code, needle):
 
 
 def test_one_default_tolerance():
-    for f in (bounds_certificate, transfer_check, check_graph, sweep, report_data, emit_report):
+    for f in (bounds_certificate, check_graph, sweep, report_data, emit_report):
         assert inspect.signature(f).parameters["tol"].default is DEFAULT_TOL, f
     assert build_parser().parse_args(["bounds", "-"]).tol is DEFAULT_TOL
     assert build_parser().parse_args(["sweep", "--max-n", "2"]).tol is DEFAULT_TOL

@@ -80,40 +80,64 @@ def test_edge_energy_sums_to_twice_total(digon_triangle):
 
 
 def test_adjacent_pair_check_digon_triangle(digon_triangle):
-    checks = {c.arc: c for c in adjacent_pair_check(digon_triangle)}
-    assert set(checks) == set(digon_triangle.arcs)
-    assert checks[(0, 1)].product == pytest.approx(6 / 5, abs=1e-12)
-    assert checks[(0, 1)].sum == pytest.approx(ROOT5, abs=1e-12)
-    assert checks[(2, 0)].product == pytest.approx(1.0, abs=1e-12)  # equality case
-    assert all(c.product >= 1 - 1e-9 and c.sum >= 2 - 1e-9 for c in checks.values())
+    products, sums = adjacent_pair_check(digon_triangle)
+    checks = dict(zip(digon_triangle.arcs, zip(products, sums)))
+    assert len(products) == len(sums) == len(digon_triangle.arcs)
+    assert checks[(0, 1)][0] == pytest.approx(6 / 5, abs=1e-12)
+    assert checks[(0, 1)][1] == pytest.approx(ROOT5, abs=1e-12)
+    assert checks[(2, 0)][0] == pytest.approx(1.0, abs=1e-12)  # equality case
+    assert all(p >= 1 - 1e-9 and s >= 2 - 1e-9 for p, s in checks.values())
 
 
 def test_adjacent_pair_check_path2():
-    (check,) = adjacent_pair_check(gen_path(2))
-    assert check.product == pytest.approx(1.0, abs=1e-12)
-    assert check.sum == pytest.approx(2.0, abs=1e-12)
+    (product,), (pair_sum,) = adjacent_pair_check(gen_path(2))
+    assert product == pytest.approx(1.0, abs=1e-12)
+    assert pair_sum == pytest.approx(2.0, abs=1e-12)
 
 
 def test_vertex_degree_bound_digon_triangle(digon_triangle):
-    checks = vertex_degree_bound_check(digon_triangle)
-    assert checks[0].out_energy == pytest.approx(3 / ROOT5, abs=1e-12)
-    assert checks[0].out_bound == pytest.approx(math.sqrt(2), abs=1e-15)
-    assert all(min(c.out_slack, c.in_slack) >= -1e-9 for c in checks)
+    out_slack, in_slack = vertex_degree_bound_check(digon_triangle)
+    assert energy_report(digon_triangle).vertex_out[0] == pytest.approx(3 / ROOT5, abs=1e-12)
+    assert math.sqrt(degree_profile(digon_triangle).out_deg[0]) == pytest.approx(math.sqrt(2), abs=1e-15)
+    assert out_slack[0] == pytest.approx(math.sqrt(2) - 3 / ROOT5, abs=1e-12)
+    assert all(np.minimum(out_slack, in_slack) >= -1e-9)
 
 
 def test_vertex_degree_bound_isolated():
-    (check,) = vertex_degree_bound_check(new_digraph(1, []))
-    assert check.out_energy == 0.0
-    assert check.out_bound == 0.0
-    assert check.out_slack == check.in_slack == 0.0
+    G = new_digraph(1, [])
+    (out_slack,), (in_slack,) = vertex_degree_bound_check(G)
+    assert energy_report(G).vertex_out[0] == 0.0
+    assert math.sqrt(degree_profile(G).out_deg[0]) == 0.0
+    assert out_slack == in_slack == 0.0
 
 
 def test_vertex_degree_bound_kbip_source():
     # rank-1 gram: sqrt(S) = S / sqrt(trace), so each source has E+ = 3/sqrt(6)
-    checks = vertex_degree_bound_check(gen_kbip(2, 3))
-    assert checks[0].out_energy == pytest.approx(3 / math.sqrt(6), abs=1e-12)
-    assert checks[0].out_bound == pytest.approx(math.sqrt(3), abs=1e-15)
-    assert all(min(c.out_slack, c.in_slack) >= -1e-9 for c in checks)
+    G = gen_kbip(2, 3)
+    out_slack, in_slack = vertex_degree_bound_check(G)
+    assert energy_report(G).vertex_out[0] == pytest.approx(3 / math.sqrt(6), abs=1e-12)
+    assert math.sqrt(degree_profile(G).out_deg[0]) == pytest.approx(math.sqrt(3), abs=1e-15)
+    assert out_slack[0] == pytest.approx(math.sqrt(3) - 3 / math.sqrt(6), abs=1e-12)
+    assert all(np.minimum(out_slack, in_slack) >= -1e-9)
+
+
+def test_measurement_arrays_align_with_arcs_and_vertices(split_example):
+    pieces = [gen_kbip(2, 3), gen_cycle(4), gen_path(5), split_example]
+    perm = np.random.default_rng(5).permutation(sum(P.n for P in pieces))
+    G = relabel(disjoint_union(*pieces), perm)
+    rep = energy_report(G)
+    deg = degree_profile(G)
+    products, sums = adjacent_pair_check(G)
+    assert products.shape == sums.shape == (len(G.arcs),)
+    for i, (v, w) in enumerate(G.arcs):
+        out_e, in_e = float(rep.vertex_out[v]), float(rep.vertex_in[w])
+        assert products[i] == out_e * in_e, (v, w)
+        assert sums[i] == out_e + in_e, (v, w)
+    out_slack, in_slack = vertex_degree_bound_check(G)
+    assert out_slack.shape == in_slack.shape == (G.n,)
+    for v in range(G.n):
+        assert out_slack[v] == math.sqrt(deg.out_deg[v]) - float(rep.vertex_out[v]), v
+        assert in_slack[v] == math.sqrt(deg.in_deg[v]) - float(rep.vertex_in[v]), v
 
 
 def test_mcclelland_digon_triangle(digon_triangle):

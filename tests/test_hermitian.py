@@ -17,7 +17,6 @@ from dgspec import (
     randic_index,
     reverse,
     singular_values,
-    transfer_check,
     undirected_energy,
     undirected_randic,
 )
@@ -95,12 +94,6 @@ def test_undirected_randic_complete_bipartite():
         edges = tuple((i, n + j) for i in range(n) for j in range(m))
         H = UndirectedGraph(n + m, edges)
         assert undirected_randic(H) == pytest.approx(math.sqrt(n * m), abs=1e-12)
-
-
-def test_transfer_check_examples(digon_triangle):
-    assert transfer_check(digon_triangle) == (True, True)
-    assert transfer_check(gen_cycle(4)) == (True, True)
-    assert transfer_check(new_digraph(3, [])) == (True, True)
 
 
 def test_cycle_double_is_perfect_matching():

@@ -13,7 +13,7 @@ from dgspec import (
 )
 from dgspec import oracle
 from dgspec.errors import BadParameterError
-from dgspec.oracle import PROPERTY_NAMES, arc_pairs, digraph_of_code
+from dgspec.oracle import PROPERTY_NAMES, PropertyResult, arc_pairs, digraph_of_code
 
 
 def test_property_name_roster():
@@ -59,6 +59,17 @@ def test_check_graph_cycle_equalities():
     assert outcome.ok()
     assert abs(outcome.results["lower_equality_iff"].slack) <= 1e-12
     assert abs(outcome.results["upper_equality_iff"].slack) <= 1e-12
+
+
+def test_check_graph_ties_name_the_first_arc_and_vertex():
+    # every product of C4 is exactly 1 and every vertex slack exactly 0, so
+    # each witness is the first minimum: the first arc and the first vertex
+    results = check_graph(gen_cycle(4)).results
+    assert results["pair_product"] == PropertyResult(True, 0.0, "arc (0, 1)")
+    assert results["pair_sum"] == PropertyResult(True, 0.0, "arc (0, 1)")
+    assert results["vertex_degree_bound"] == PropertyResult(True, 0.0, "vertex 0")
+    # plain floats, not numpy scalars, so repr(PropertyResult) names no numpy type
+    assert all(type(r.slack) is float for r in results.values())
 
 
 @pytest.mark.parametrize(
