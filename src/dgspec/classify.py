@@ -89,10 +89,10 @@ def classify_lower_equality(G: Digraph) -> tuple[SplitPart, ...] | None:
     sources to sinks (``SplitPart.complete``: |sources| * |sinks| arcs).  The
     edgeless graph's witness is ``()``, so test the result with ``is None``.
     """
-    parts = find_splitting(G)
-    if parts is None or not all(part.complete for part in parts):
-        return None
-    return parts
+    # a complete part whose sources and sinks shared a vertex v would hold
+    # the loop (v, v), so complete parts are already a splitting
+    parts = G._double_components
+    return parts if all(part.complete for part in parts) else None
 
 
 def classify_component(G: Digraph, vertices) -> ComponentKind:
@@ -135,7 +135,6 @@ def classify_upper_equality(G: Digraph) -> list[ComponentKind] | None:
     components are then paths, cycles and isolated vertices, never Other.
     Returns None when some degree is 2 or more.
     """
-    deg = degree_profile(G)
-    if any(d > 1 for d in deg.out_deg) or any(d > 1 for d in deg.in_deg):
+    if degree_profile(G).max_deg > 1:
         return None
     return [classify_component(G, comp) for comp in weak_components(G)]

@@ -54,10 +54,6 @@ class Digraph:
             raise BadParameterError("arcs must be sorted, with no repeats")
 
     @cached_property
-    def _arc_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.arcs)
-
-    @cached_property
     def _out_adj(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.arcs:
@@ -97,9 +93,6 @@ class Digraph:
     def _energy(self) -> EnergyReport:
         from .energy import _decompose  # energy imports this module
         return _decompose(self)
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._arc_set
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         """Vertices w with an arc v -> w, ascending."""

@@ -13,10 +13,11 @@ r sources and E- = sqrt(r/c) on each of its c sinks.  Any other block runs
 one checked eigensolve of its smaller Gram matrix (dimension min(r, c)) in
 ``densela``, which yields its singular values and both energy diagonals.
 
-The pair and degree-bound checks measure and never judge: each returns two
-float arrays, aligned with ``G.arcs`` or with the vertices.  Rounding in an
-eigensolve grows with the block's conditioning, so the verdict belongs to
-``oracle.check_graph`` and the caller's tolerance.
+Edge energy and the pair and degree-bound checks measure and never judge.
+Edge energy returns one float array aligned with ``G.arcs``, the pair check
+two aligned with ``G.arcs`` and the degree-bound check two aligned with the
+vertices.  Rounding in an eigensolve grows with the block's conditioning, so
+the verdict belongs to ``oracle.check_graph`` and the caller's tolerance.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .densela import _gram_energies
 from .digraph import Digraph, degree_profile
-from .errors import NoSuchArcError
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,16 @@ def _decompose(G: Digraph) -> EnergyReport:
     return EnergyReport(sigma, math.fsum(values), vertex_out, vertex_in)
 
 
-def edge_energy(G: Digraph, arc: tuple[int, int]) -> float:
-    """E+(v)/d+(v) + E-(w)/d-(w) for an arc (v, w) of G.
+def edge_energy(G: Digraph) -> np.ndarray:
+    """Entry i is E+(v)/d+(v) + E-(w)/d-(w) for the arc G.arcs[i] = (v, w).
 
     Summed over all arcs this gives twice the total energy, up to rounding.
     """
-    v, w = arc
-    if not G.has_arc(v, w):
-        raise NoSuchArcError(f"arc ({v}, {w}) not present")
     rep = energy_report(G)
     deg = degree_profile(G)
-    return float(rep.vertex_out[v] / deg.out_deg[v] + rep.vertex_in[w] / deg.in_deg[w])
+    # plain Python floats: numpy's per-call cost dominates on the small graphs
+    out_e, in_e = rep.vertex_out.tolist(), rep.vertex_in.tolist()
+    return np.array([out_e[v] / deg.out_deg[v] + in_e[w] / deg.in_deg[w] for v, w in G.arcs])
 
 
 def adjacent_pair_check(G: Digraph) -> tuple[np.ndarray, np.ndarray]:

@@ -33,10 +33,6 @@ class NoConvergenceError(DgspecError, RuntimeError):
     """The eigensolver did not reach the requested off-diagonal residual."""
 
 
-class NoSuchArcError(DgspecError, ValueError):
-    """An arc-indexed operation was asked about an arc the graph lacks."""
-
-
 class ParseError(DgspecError, ValueError):
     """Edge-list text is malformed; carries the offending line number."""
 

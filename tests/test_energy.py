@@ -24,7 +24,6 @@ from dgspec import (
     reverse,
     vertex_degree_bound_check,
 )
-from dgspec.errors import NoSuchArcError
 
 from _oracles import relabel, sqrt_2x2_spd
 
@@ -62,21 +61,32 @@ def test_report_totals_agree(digon_triangle):
 
 
 def test_edge_energy_path2():
-    assert edge_energy(gen_path(2), (0, 1)) == pytest.approx(2.0, abs=1e-12)
+    (value,) = edge_energy(gen_path(2))
+    assert value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_edge_energy_return_arc(digon_triangle):
-    assert edge_energy(digon_triangle, (2, 0)) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_edge_energy_missing_arc(digon_triangle):
-    with pytest.raises(NoSuchArcError):
-        edge_energy(digon_triangle, (1, 0))
+    value = edge_energy(digon_triangle)[digon_triangle.arcs.index((2, 0))]
+    assert value == pytest.approx(2.0, abs=1e-12)
 
 
 def test_edge_energy_sums_to_twice_total(digon_triangle):
-    total = sum(edge_energy(digon_triangle, arc) for arc in digon_triangle.arcs)
+    total = sum(edge_energy(digon_triangle).tolist())
     assert total == pytest.approx(2 * (1 + ROOT5), abs=1e-10)
+
+
+def test_edge_energy_aligns_with_arcs(split_example):
+    pieces = [gen_kbip(2, 3), gen_cycle(4), gen_path(5), split_example]
+    perm = np.random.default_rng(7).permutation(sum(P.n for P in pieces))
+    G = relabel(disjoint_union(*pieces), perm)
+    rep = energy_report(G)
+    deg = degree_profile(G)
+    values = edge_energy(G)
+    assert isinstance(values, np.ndarray) and values.dtype == float
+    assert values.shape == (len(G.arcs),)
+    for i, (v, w) in enumerate(G.arcs):
+        expected = float(rep.vertex_out[v]) / deg.out_deg[v] + float(rep.vertex_in[w]) / deg.in_deg[w]
+        assert values[i] == expected, (v, w)
 
 
 def test_adjacent_pair_check_digon_triangle(digon_triangle):

@@ -1,11 +1,15 @@
+import ast
 import contextlib
+import inspect
 import io
 import re
 from pathlib import Path
 
 import dgspec
+import dgspec.errors
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_public_names_sorted_unique_and_bound():
@@ -28,3 +32,20 @@ def test_readme_quickstart_and_entry_points():
     names = re.findall(r"`(\w+)`", paragraph)
     assert names
     assert [name for name in names if not hasattr(dgspec, name)] == []
+
+
+def test_every_error_class_is_raised():
+    # an exception class that no ``raise X(...)`` in the package names is an
+    # orphan: callers would catch an error that can never arrive
+    raised = set()
+    for path in (ROOT / "src" / "dgspec").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    errors = {
+        name
+        for name, cls in inspect.getmembers(dgspec.errors, inspect.isclass)
+        if issubclass(cls, BaseException) and cls.__module__ == dgspec.errors.__name__
+    }
+    assert errors - {"DgspecError"}
+    assert sorted(errors - {"DgspecError"} - raised) == []
