@@ -6,10 +6,12 @@ any of a vertex's out-arcs uses all of them, and likewise for in-arcs.
 Parts may share vertices.  A splitting is the graph's own ``SplitPart``
 tuple, the components of the bipartite double B(G); ``()`` when edgeless.
 
-The lower bound 2R(G) is attained exactly when G splits into parts that are
-each complete from their sources to their sinks; the upper bound
-2 sqrt(max_degree) R(G) is attained exactly when G is a disjoint union of
-directed paths, directed cycles and isolated vertices.
+The paper's two equality theorems: the lower bound 2R(G) is attained
+exactly when G splits into parts that are each complete from their sources
+to their sinks; the upper bound 2 sqrt(max_degree) R(G) exactly when every
+in- and out-degree is at most 1, that is when G is a disjoint union of
+directed paths, directed cycles and isolated vertices.  Both verdicts are
+exact and O(m); ``bounds_certificate`` prints them as its equality flags.
 """
 
 from __future__ import annotations
@@ -85,9 +87,8 @@ def verify_splitting(G: Digraph, parts: tuple[SplitPart, ...]) -> bool:
 def classify_lower_equality(G: Digraph) -> tuple[SplitPart, ...] | None:
     """Witness splitting when E(G) = 2R(G), else None.
 
-    Equality holds exactly when G splits into parts that are complete from
-    sources to sinks (``SplitPart.complete``: |sources| * |sinks| arcs).  The
-    edgeless graph's witness is ``()``, so test the result with ``is None``.
+    The witness is the B(G) components, when each is ``SplitPart.complete``.
+    The edgeless graph's is ``()``, so test the result with ``is None``.
     """
     # a complete part whose sources and sinks shared a vertex v would hold
     # the loop (v, v), so complete parts are already a splitting
@@ -129,11 +130,9 @@ def classify_component(G: Digraph, vertices) -> ComponentKind:
 
 
 def classify_upper_equality(G: Digraph) -> list[ComponentKind] | None:
-    """Per-component classification when E(G) = 2 sqrt(max_degree) R(G).
-
-    Equality holds exactly when every in- and out-degree is at most 1; the
-    components are then paths, cycles and isolated vertices, never Other.
-    Returns None when some degree is 2 or more.
+    """Per-component classification when E(G) = 2 sqrt(max_degree) R(G),
+    into paths, cycles and isolated vertices, never Other; None when some
+    degree is 2 or more.
     """
     if degree_profile(G).max_deg > 1:
         return None

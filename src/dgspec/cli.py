@@ -93,7 +93,7 @@ def serialize_edge_list(G: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_data(G: Digraph, which: str, tol: float = DEFAULT_TOL) -> dict:
+def report_data(G: Digraph, which: str) -> dict:
     """Assemble the report for one subcommand as plain JSON-ready data."""
     deg = degree_profile(G)
     data: dict = {"n": G.n, "arc_count": deg.arc_count, "max_degree": deg.max_deg}
@@ -106,7 +106,7 @@ def report_data(G: Digraph, which: str, tol: float = DEFAULT_TOL) -> dict:
     elif which == "randic":
         data["randic"] = randic_index(G)
     elif which == "bounds":
-        data.update(asdict(bounds_certificate(G, tol)))
+        data.update(asdict(bounds_certificate(G)))
     elif which == "double":
         data["double_edges"] = double(G).edges
     elif which == "classify":
@@ -187,9 +187,9 @@ def _write(obj, nl: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def emit_report(G: Digraph, which: str, tol: float = DEFAULT_TOL) -> str:
+def emit_report(G: Digraph, which: str) -> str:
     """The report for one subcommand as deterministic JSON text."""
-    return _write(report_data(G, which, tol))
+    return _write(report_data(G, which))
 
 
 def render_text(data: dict) -> str:
@@ -212,7 +212,7 @@ def _print_data(data: dict, fmt: str) -> None:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     G = _read_graph(args.file)
-    _print_data(report_data(G, args.which, getattr(args, "tol", DEFAULT_TOL)), args.format)
+    _print_data(report_data(G, args.which), args.format)
     return 0
 
 
@@ -241,17 +241,20 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise BadParameterError(f"--tol must be finite and >= 0, got {args.tol}")
+    if args.jobs < 1:
+        raise BadParameterError(f"--jobs must be >= 1, got {args.jobs}")
     summary = sweep(args.max_n, tol=args.tol, jobs=args.jobs)
     _print_data(summary.to_dict(), args.format)
     return 0 if summary.ok() else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # each subcommand takes only the options it reads
+    # each subcommand takes only the options it reads: --tol only on sweep,
+    # the one command whose verdicts are judged within a tolerance
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "text"), default="json", help="output format")
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric tolerance")
 
     parser = argparse.ArgumentParser(
         prog="dgspec",
@@ -260,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for which in REPORT_KINDS:
-        parents = [fmt, tol] if which == "bounds" else [fmt]
-        p = sub.add_parser(which, parents=parents, help=f"{which} report for FILE")
+        p = sub.add_parser(which, parents=[fmt], help=f"{which} report for FILE")
         p.add_argument("file", help="edge-list file, or - for stdin")
         p.set_defaults(func=_cmd_report, which=which)
 
@@ -270,9 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", help="cycle/path: N; kbip: N M; random: N P SEED")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser(
-        "sweep", parents=[fmt, tol], help="exhaustive property check over small graphs"
-    )
+    p = sub.add_parser("sweep", parents=[fmt], help="exhaustive property check over small graphs")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numeric tolerance")
     p.add_argument("--max-n", type=int, required=True, help="largest vertex count")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per CPU")
     p.set_defaults(func=_cmd_sweep)
@@ -286,10 +287,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if "tol" in args and not (math.isfinite(args.tol) and args.tol >= 0.0):
-            raise BadParameterError(f"--tol must be finite and >= 0, got {args.tol}")
-        if getattr(args, "jobs", 1) < 1:
-            raise BadParameterError(f"--jobs must be >= 1, got {args.jobs}")
         return args.func(args)
     except (DgspecError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

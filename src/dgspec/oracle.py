@@ -21,7 +21,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .classify import classify_lower_equality, classify_upper_equality, find_splitting, verify_splitting
+from .classify import find_splitting, verify_splitting
 from .digraph import Digraph, _count
 from .energy import adjacent_pair_check, edge_energy, energy_report, mcclelland_bound, vertex_degree_bound_check
 from .errors import BadParameterError
@@ -136,7 +136,7 @@ def check_graph(G: Digraph, tol: float = DEFAULT_TOL) -> CheckOutcome:
     an implementation bug somewhere in the pipeline.
     """
     rep = energy_report(G)
-    cert = bounds_certificate(G, tol)
+    cert = bounds_certificate(G)
     results: dict[str, PropertyResult] = {}
 
     def bound(name: str, margin: float, witness: str = "graph") -> None:
@@ -175,20 +175,18 @@ def check_graph(G: Digraph, tol: float = DEFAULT_TOL) -> CheckOutcome:
     identity("transfer_energy", abs(2.0 * rep.total - undirected_energy(H)))
     identity("transfer_randic", abs(2.0 * cert.randic - undirected_randic(H)))
 
+    # the certificate's structural flags against its numeric slacks
     splitting = find_splitting(G)
     splitting_valid = splitting is None or verify_splitting(G, splitting)
-    lower_struct = classify_lower_equality(G) is not None
     lower_numeric = abs(cert.lower_slack) <= tol * _TOL_SCALE["lower_equality_iff"]
     results["lower_equality_iff"] = PropertyResult(
-        splitting_valid and lower_struct == lower_numeric,
+        splitting_valid and cert.lower_equal == lower_numeric,
         cert.lower_slack,
         "graph" if splitting_valid else "splitting failed verification",
     )
-
-    upper_struct = classify_upper_equality(G) is not None
     upper_numeric = abs(cert.upper_slack) <= tol * _TOL_SCALE["upper_equality_iff"]
     results["upper_equality_iff"] = PropertyResult(
-        upper_struct == upper_numeric, cert.upper_slack, "graph"
+        cert.upper_equal == upper_numeric, cert.upper_slack, "graph"
     )
 
     identity("trace_agreement", abs(float(rep.vertex_out.sum()) - float(rep.vertex_in.sum())))

@@ -1,6 +1,8 @@
 """Directed Randic index and the certified two-sided bound chain
 
-    2 R(G)  <=  E(G)  <=  2 sqrt(max_degree) R(G).
+    2 R(G)  <=  E(G)  <=  2 sqrt(max_degree) R(G),
+
+whose equality cases ``dgspec.classify`` recognises exactly.
 """
 
 from __future__ import annotations
@@ -8,17 +10,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .classify import classify_lower_equality
 from .digraph import Digraph, degree_profile
 from .energy import energy_report
 
-# the tolerance every verdict defaults to: the bound-chain equality flags,
-# the oracle's property judgements and the CLI's --tol
+# the one default ``tol`` (the oracle's judgements, ``sweep --tol``), and the
+# fixed allowance within which a certificate's bound chain holds
 DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class BoundsCertificate:
-    """Randic index, energy, and the evaluated bound chain with slacks."""
+    """Randic index, energy, the bound chain with its slacks (it holds within
+    ``tolerance``), and whether each bound is attained, decided structurally."""
 
     randic: float
     energy: float
@@ -43,26 +47,24 @@ def randic_index(G: Digraph) -> float:
     )
 
 
-def bounds_certificate(G: Digraph, tol: float = DEFAULT_TOL) -> BoundsCertificate:
-    """Evaluate both bounds and flag equality cases within ``tol``.
-
-    An edgeless graph has energy = Randic = 0 and both flags true (the
-    structural equality characterizations include it).
+def bounds_certificate(G: Digraph) -> BoundsCertificate:
+    """Evaluate both bounds; each flag is ``classify``'s exact verdict on
+    its equality case, so an edgeless graph attains both.
     """
     randic = randic_index(G)
     energy = energy_report(G).total
+    max_deg = degree_profile(G).max_deg
     lower = 2.0 * randic
-    upper = 2.0 * math.sqrt(degree_profile(G).max_deg) * randic
-    lower_slack = energy - lower
-    upper_slack = upper - energy
+    upper = 2.0 * math.sqrt(max_deg) * randic
     return BoundsCertificate(
         randic=randic,
         energy=energy,
         lower=lower,
         upper=upper,
-        lower_slack=lower_slack,
-        upper_slack=upper_slack,
-        lower_equal=abs(lower_slack) <= tol,
-        upper_equal=abs(upper_slack) <= tol,
-        tolerance=tol,
+        lower_slack=energy - lower,
+        upper_slack=upper - energy,
+        lower_equal=classify_lower_equality(G) is not None,
+        # the test classify_upper_equality starts with, without its walk
+        upper_equal=max_deg <= 1,
+        tolerance=DEFAULT_TOL,
     )

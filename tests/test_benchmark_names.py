@@ -4,7 +4,9 @@ The tracer wraps every public function a dgspec module defines, and a traced
 run fails when a declared ``<layer>.<fn>.(calls|ms|self_ms)`` metric has no
 function behind it, so deleting or renaming one of these functions must fail
 here first.  The benchmark's sweep op and its parse-and-report op must also
-pass the checks the benchmark applies to their output.
+pass the checks the benchmark applies to their output; the two ``dense``
+inputs known to fail them are strict xfails until the block kernel keeps
+small singular values.
 """
 
 import importlib
@@ -62,3 +64,16 @@ def test_benchmark_report_op_passes_its_check(ops, workload, count):
     for index in range(count):
         case = ops.make_case(workload, 1, ops.TIMED, index)
         assert ops.check_reports(case, ops.reference(case), ops.run_op(cli, case.text)) == [], index
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="squaring a block into M M^T loses singular values below ~sqrt(k eps) sigma_max",
+)
+@pytest.mark.parametrize("seed, index", [(2, 51), (26, 61)])
+def test_benchmark_dense_ill_conditioned_inputs(ops, seed, index):
+    """The two known ``dense`` inputs whose small sigma falls in the Gram clamp
+    window, so their vertex energies differ from the benchmark's SVD."""
+    case = ops.make_case("dense", seed, ops.TIMED, index)
+    assert ops.check_reports(case, ops.reference(case), ops.run_op(cli, case.text)) == []

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import io
 import json
@@ -6,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from dgspec import bounds_certificate, check_graph, gen_cycle, gen_kbip, new_digraph, sweep
+import dgspec
+from dgspec import gen_cycle, gen_kbip, new_digraph
 from dgspec.cli import (
     build_parser,
     emit_report,
@@ -218,8 +220,6 @@ def test_main_usage_error_exits_2(capsys):
     assert main(["gen", "random", "5", "nope", "3"]) == 2
     capsys.readouterr()
     for argv in (
-        ["bounds", "--tol", "nan", "-"],
-        ["bounds", "--tol", "-1", "-"],
         ["sweep", "--max-n", "3", "--tol", "-1"],
         ["sweep", "--max-n", "2", "--tol", "inf"],
         ["sweep", "--max-n", "2", "--jobs", "0"],
@@ -238,7 +238,7 @@ def test_main_usage_error_exits_2(capsys):
         (["classify", "--tol", "1e-6", "FILE"], 2, "--tol"),
         (["gen", "cycle", "3", "--tol", "1"], 2, "--tol"),
         (["gen", "cycle", "3", "--format", "text"], 2, "--format"),
-        (["bounds", "--tol", "1e-3", "FILE"], 0, '"tolerance": 0.001'),
+        (["bounds", "--tol", "1e-3", "FILE"], 2, "--tol"),
         (["sweep", "--max-n", "2", "--tol", "1e-6", "--format", "text"], 0, "total_graphs: 5"),
     ],
 )
@@ -252,11 +252,21 @@ def test_main_option_roster(tmp_path, capsys, argv, code, needle):
     assert needle in (out if code == 0 else err)
 
 
-def test_one_default_tolerance():
-    for f in (bounds_certificate, check_graph, sweep, report_data, emit_report):
-        assert inspect.signature(f).parameters["tol"].default is DEFAULT_TOL, f
-    assert build_parser().parse_args(["bounds", "-"]).tol is DEFAULT_TOL
-    assert build_parser().parse_args(["sweep", "--max-n", "2"]).tol is DEFAULT_TOL
+def test_tol_only_where_a_verdict_reads_it():
+    # the oracle judges its properties within tol; every report is exact or
+    # fixed, so no other public function takes a tol and no other command --tol
+    functions = [getattr(dgspec, name) for name in dgspec.__all__] + [report_data, emit_report]
+    with_tol = set()
+    for f in filter(inspect.isfunction, functions):
+        params = inspect.signature(f).parameters
+        if "tol" in params:
+            with_tol.add(f.__name__)
+            assert params["tol"].default is DEFAULT_TOL, f
+    assert with_tol == {"check_graph", "sweep"}
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name for name, p in commands.items() if "--tol" in p._option_string_actions} == {"sweep"}
+    assert parser.parse_args(["sweep", "--max-n", "2"]).tol is DEFAULT_TOL
 
 
 def test_main_gen_reports_the_generators_reason(capsys):
