@@ -241,10 +241,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise BadParameterError(f"--tol must be finite and >= 0, got {args.tol}")
-    if args.jobs < 1:
-        raise BadParameterError(f"--jobs must be >= 1, got {args.jobs}")
     summary = sweep(args.max_n, tol=args.tol, jobs=args.jobs)
     _print_data(summary.to_dict(), args.format)
     return 0 if summary.ok() else 1

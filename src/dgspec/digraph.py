@@ -24,6 +24,7 @@ from .errors import BadParameterError, LoopArcError, OutOfRangeError
 
 if TYPE_CHECKING:
     from .energy import EnergyReport
+    from .hermitian import UndirectedGraph
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,12 @@ class Digraph:
     @cached_property
     def _energy(self) -> EnergyReport:
         from .energy import _decompose  # energy imports this module
-        return _decompose(self)
+        return _decompose((self,))[0]
+
+    @cached_property
+    def _double(self) -> UndirectedGraph:
+        from .hermitian import _double  # hermitian imports this module
+        return _double(self)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         """Vertices w with an arc v -> w, ascending."""
@@ -146,12 +152,12 @@ def new_digraph(n: int, arcs) -> Digraph:
     return Digraph(n, tuple(sorted(seen)))
 
 
-def _count(n) -> int:
+def _count(n, what: str = "vertex count") -> int:
     """A count as a plain int: anything ``operator.index`` takes, 2.5 refused."""
     try:
         return operator.index(n)
     except TypeError:
-        raise BadParameterError(f"vertex count must be an integer, got {n!r}") from None
+        raise BadParameterError(f"{what} must be an integer, got {n!r}") from None
 
 
 def degree_profile(G: Digraph) -> DegreeProfile:

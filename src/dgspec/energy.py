@@ -12,6 +12,10 @@ K(a, b)) has the closed form sigma = sqrt(rc), E+ = sqrt(c/r) on each of its
 r sources and E- = sqrt(r/c) on each of its c sinks.  Any other block runs
 one checked eigensolve of its smaller Gram matrix (dimension min(r, c)) in
 ``densela``, which yields its singular values and both energy diagonals.
+``_decompose`` reports on a sequence of graphs at once: it groups the
+non-complete blocks of all of them by shape (r, c) and runs one stacked
+solve per shape.  A graph's own report is the one-graph case, so its
+same-shape blocks share a stack too; the sweep passes a batch of graphs.
 
 Edge energy and the pair and degree-bound checks measure and never judge.
 Edge energy returns one float array aligned with ``G.arcs``, the pair check
@@ -23,12 +27,13 @@ the verdict belongs to ``oracle.check_graph`` and the caller's tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .densela import _gram_energies
-from .digraph import Digraph, degree_profile
+from .digraph import Digraph, SplitPart, degree_profile
 
 
 @dataclass(frozen=True)
@@ -44,39 +49,56 @@ class EnergyReport:
 def energy_report(G: Digraph) -> EnergyReport:
     """Full energy report of a digraph, kept on the graph (arrays are read-only).
 
-    Each block of A is decomposed on its own (see the module docstring), so
-    no n x n matrix is built.
+    Each block of A is decomposed on its own, in one stack with the graph's
+    other blocks of its shape (see the module docstring), so no n x n
+    matrix is built.
     """
     return G._energy
 
 
-def _decompose(G: Digraph) -> EnergyReport:
-    vertex_out = np.zeros(G.n)
-    vertex_in = np.zeros(G.n)
-    values: list[float] = []
-    for part in G._double_components:
-        sources, sinks, arcs = part
-        r, c = len(sources), len(sinks)
-        if part.complete:
-            # an all-ones r x c block has rank 1: sigma = sqrt(rc) and its
-            # Gram roots are sqrt(rc) J / r and sqrt(rc) J / c
-            values.append(math.sqrt(r * c))
-            vertex_out[list(sources)] = math.sqrt(c / r)
-            vertex_in[list(sinks)] = math.sqrt(r / c)
-            continue
-        row = {v: i for i, v in enumerate(sources)}
-        col = {v: j for j, v in enumerate(sinks)}
-        B = np.zeros((r, c))
-        for u, v in arcs:
-            B[row[u], col[v]] = 1.0
-        block_sigma, vertex_out[list(sources)], vertex_in[list(sinks)] = _gram_energies(B)
-        values.extend(block_sigma.tolist())
-    values.sort(reverse=True)
-    sigma = np.zeros(G.n)
-    sigma[: len(values)] = values
-    for arr in (sigma, vertex_out, vertex_in):
-        arr.setflags(write=False)
-    return EnergyReport(sigma, math.fsum(values), vertex_out, vertex_in)
+def _decompose(graphs: Sequence[Digraph]) -> list[EnergyReport]:
+    """The energy reports of several graphs, in order.
+
+    The non-complete blocks of all the graphs are grouped by shape (r, c),
+    each group runs one stacked Gram solve, and the results are scattered
+    back to their graphs.  Every block's numbers are the bits it gets when
+    solved alone.
+    """
+    vertex_outs = [np.zeros(G.n) for G in graphs]
+    vertex_ins = [np.zeros(G.n) for G in graphs]
+    values: list[list[float]] = [[] for _ in graphs]
+    groups: dict[tuple[int, int], list[tuple[int, SplitPart]]] = {}
+    for g, G in enumerate(graphs):
+        for part in G._double_components:
+            r, c = len(part.sources), len(part.sinks)
+            if part.complete:
+                # an all-ones r x c block has rank 1: sigma = sqrt(rc) and
+                # its Gram roots are sqrt(rc) J / r and sqrt(rc) J / c
+                values[g].append(math.sqrt(r * c))
+                vertex_outs[g][list(part.sources)] = math.sqrt(c / r)
+                vertex_ins[g][list(part.sinks)] = math.sqrt(r / c)
+            else:
+                groups.setdefault((r, c), []).append((g, part))
+    for (r, c), members in groups.items():
+        B = np.zeros((len(members), r, c))
+        for i, (_, (sources, sinks, arcs)) in enumerate(members):
+            row = {v: j for j, v in enumerate(sources)}
+            col = {v: j for j, v in enumerate(sinks)}
+            for u, v in arcs:
+                B[i, row[u], col[v]] = 1.0
+        for (g, part), sigma, out_e, in_e in zip(members, *_gram_energies(B)):
+            values[g].extend(sigma.tolist())
+            vertex_outs[g][list(part.sources)] = out_e
+            vertex_ins[g][list(part.sinks)] = in_e
+    reports = []
+    for G, spectrum, vertex_out, vertex_in in zip(graphs, values, vertex_outs, vertex_ins):
+        spectrum.sort(reverse=True)
+        sigma = np.zeros(G.n)
+        sigma[: len(spectrum)] = spectrum
+        for arr in (sigma, vertex_out, vertex_in):
+            arr.setflags(write=False)
+        reports.append(EnergyReport(sigma, math.fsum(spectrum), vertex_out, vertex_in))
+    return reports
 
 
 def edge_energy(G: Digraph) -> np.ndarray:

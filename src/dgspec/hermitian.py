@@ -13,34 +13,39 @@ the 2n x 2n adjacency).
 ``double`` returns B(G) as a plain ``UndirectedGraph`` on 2n vertices.  Its
 layout: indices 0..n-1 are the minus copies and n..2n-1 the plus copies,
 matching the block matrix [[0, M], [M^T, 0]], so vertex i- is i and vertex
-i+ is n + i.
+i+ is n + i.  The double is a lazy attribute of G, and its energy a lazy
+attribute of the double, each built once and freed with its graph.
+``_energies`` computes the energies of many graphs with one stacked full
+symmetric eigensolve per vertex count, each matrix checked on its own; the
+sweep uses it to fill a batch of doubles at once.  Those matrices are whole
+adjacencies, never Gram matrices or blocks, so this side stays independent
+of the digraph side.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .densela import sym_eigen
+from .densela import _eigen_stack
 from .digraph import Digraph
 
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Simple undirected graph: edges are sorted (low, high) pairs."""
+    """Simple undirected graph: edges are sorted (low, high) pairs.  Its
+    energy is a lazy attribute, built once and freed with the graph."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
-
-def undirected_adjacency(H: UndirectedGraph) -> np.ndarray:
-    A = np.zeros((H.n, H.n))
-    for a, b in H.edges:
-        A[a, b] = 1.0
-        A[b, a] = 1.0
-    return A
+    @cached_property
+    def _energy(self) -> float:
+        return _energies((self,))[0]
 
 
 def undirected_degrees(H: UndirectedGraph) -> tuple[int, ...]:
@@ -56,14 +61,35 @@ def double(G: Digraph) -> UndirectedGraph:
 
     Vertex i- is index i and vertex i+ is index n + i.
     """
+    return G._double
+
+
+def _double(G: Digraph) -> UndirectedGraph:
     # G.arcs is strictly increasing, so the pairs arrive sorted
     return UndirectedGraph(2 * G.n, tuple((u, G.n + v) for u, v in G.arcs))
 
 
 def undirected_energy(H: UndirectedGraph) -> float:
-    """Sum of absolute adjacency eigenvalues of an undirected graph."""
-    eig = sym_eigen(undirected_adjacency(H))
-    return float(np.sum(np.abs(eig.eigenvalues)))
+    """Sum of absolute adjacency eigenvalues of an undirected graph, kept on the graph."""
+    return H._energy
+
+
+def _energies(graphs: Sequence[UndirectedGraph]) -> list[float]:
+    """The energies of several undirected graphs, in order: one stacked full
+    symmetric eigensolve of the adjacency matrices per vertex count."""
+    energies = [0.0] * len(graphs)
+    groups: dict[int, list[int]] = {}
+    for i, H in enumerate(graphs):
+        groups.setdefault(H.n, []).append(i)
+    for n, members in groups.items():
+        A = np.zeros((len(members), n, n))
+        for j, i in enumerate(members):
+            for a, b in graphs[i].edges:
+                A[j, a, b] = A[j, b, a] = 1.0
+        totals = np.abs(_eigen_stack(A)[0]).sum(axis=1).tolist()
+        for i, total in zip(members, totals):
+            energies[i] = total
+    return energies
 
 
 def undirected_randic(H: UndirectedGraph) -> float:

@@ -15,7 +15,8 @@ from dgspec import (
     singular_values,
     sym_eigen,
 )
-from dgspec.errors import DgspecError, NoConvergenceError, NotPSDError, NotSymmetricError
+from dgspec.densela import _eigen_stack, _gram_energies, _root_spectrum
+from dgspec.errors import BadParameterError, DgspecError, NoConvergenceError, NotPSDError, NotSymmetricError
 
 from _oracles import eig_2x2_sym, sqrt_2x2_spd
 
@@ -156,3 +157,75 @@ def test_exhaustive_small_graph_invariants():
                 if deg.out_deg[v] == 0:
                     assert np.max(np.abs(root[v, :])) < 1e-9
                     assert np.max(np.abs(root[:, v])) < 1e-9
+
+
+GOOD = np.array([[2.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), BadParameterError),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), NotSymmetricError),
+        (np.diag([1.0, -1.0]), NotPSDError),
+    ],
+)
+def test_stack_with_one_bad_matrix_raises_its_error_alone(bad, error):
+    with pytest.raises(error):
+        psd_sqrt(bad)
+    with pytest.raises(error):
+        _root_spectrum(_eigen_stack(np.stack([GOOD, bad, GOOD]))[0])
+
+
+def test_stack_reads_the_residual_tolerance_per_call(monkeypatch):
+    # the diagonal matrix decomposes with an exact zero residual, GOOD does not
+    stack = np.stack([np.diag([3.0, 1.0]), GOOD])
+    assert _eigen_stack(stack)[2].max() <= 1e-12
+    monkeypatch.setattr(dgspec.densela, "DEFAULT_EIG_TOL", 0.0)
+    assert sym_eigen(np.diag([3.0, 1.0])).off_norm == 0.0
+    with pytest.raises(NoConvergenceError):
+        sym_eigen(GOOD)
+    with pytest.raises(NoConvergenceError):
+        _eigen_stack(stack)
+
+
+def test_gram_stack_refuses_a_non_finite_matrix():
+    B = np.ones((3, 2, 3))
+    B[1, 0, 2] = np.inf
+    with pytest.raises(BadParameterError):
+        _gram_energies(B)
+
+
+def test_empty_stacks():
+    sigma, rows, cols = _gram_energies(np.zeros((0, 2, 3)))
+    assert (sigma.shape, rows.shape, cols.shape) == ((0, 2), (0, 2), (0, 3))
+    eigenvalues, basis, off_norm = _eigen_stack(np.zeros((0, 4, 4)))
+    assert (eigenvalues.shape, basis.shape, off_norm.shape) == ((0, 4), (0, 4, 4), (0,))
+    # k = 0: matrices with no rows have no singular values and zero column energies
+    sigma, rows, cols = _gram_energies(np.zeros((2, 0, 3)))
+    assert (sigma.shape, rows.shape) == ((2, 0), (2, 0))
+    assert cols.tolist() == [[0.0] * 3] * 2
+    assert sym_eigen(np.zeros((0, 0))).eigenvalues.shape == (0,)
+
+
+def test_all_zero_matrices():
+    sigma, rows, cols = _gram_energies(np.zeros((2, 3, 4)))
+    assert not sigma.any() and not rows.any() and not cols.any()
+    eigenvalues, _, off_norm = _eigen_stack(np.zeros((2, 3, 3)))
+    assert not eigenvalues.any() and not off_norm.any()
+
+
+def test_stacked_gram_energies_are_the_bits_of_one_matrix_at_a_time():
+    # random 0/1 matrices of mixed rank, wide and tall, so the kept-root
+    # count p differs across each stack and zero roots occur
+    rng = np.random.default_rng(7)
+    for shape in ((4, 2, 3), (5, 3, 3), (6, 4, 2), (3, 5, 7)):
+        B = (rng.random(shape) < 0.4).astype(float)
+        B[0] = 0.0
+        B[1, :, 0] = B[1, :, 1]  # a repeated column drops the rank
+        stacked = _gram_energies(B)
+        for i in range(shape[0]):
+            alone = _gram_energies(B[i : i + 1].copy())
+            for got, want in zip(stacked, alone):
+                assert got[i].tobytes() == want[0].tobytes()
+        assert singular_values(B[2]).tobytes() == stacked[0][2].tobytes()

@@ -200,26 +200,35 @@ def test_exhaustive_small_graph_energy_invariants():
             assert max(out_sum, in_sum) <= root_an + 1e-9
 
 
-def test_uncached_report_runs_one_eigensolve_per_block(monkeypatch):
+def count_stacks(monkeypatch) -> list[tuple[int, ...]]:
+    """Record the shape of every stack the checked eigensolver core runs."""
     calls = []
-    real = dgspec.densela.sym_eigen
+    real = dgspec.densela._eigen_stack
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def counting(S):
+        calls.append(S.shape)
+        return real(S)
 
-    monkeypatch.setattr(dgspec.densela, "sym_eigen", counting)
-    # a non-complete 3 x 5 block (sources 0-2, sinks 3-7) and its 5 x 3 reverse
+    monkeypatch.setattr(dgspec.densela, "_eigen_stack", counting)
+    return calls
+
+
+def test_uncached_report_runs_one_eigensolve_per_block(monkeypatch):
+    calls = count_stacks(monkeypatch)
+    # a non-complete 3 x 5 block (sources 0-2, sinks 3-7), its 5 x 3 reverse
+    # and a second 3 x 5 copy
     wide = new_digraph(8, [(0, 3), (0, 4), (1, 4), (1, 5), (1, 6), (2, 6), (2, 7)])
-    G = disjoint_union(wide, reverse(wide))
+    G = disjoint_union(wide, reverse(wide), wide)
     rep = energy_report(G)
-    # each block solves its smaller Gram matrix: 3 x 3 on both sides
-    assert calls == [(3, 3), (3, 3)]
+    # one stack per block shape, first seen first; each block solves its
+    # smaller Gram matrix, 3 x 3 on both sides
+    assert calls == [(2, 3, 3), (1, 3, 3)]
     # later requests on the same graph reuse its decompositions
     energy_report(G)
     bounds_certificate(G)
-    assert calls == [(3, 3), (3, 3)]
-    assert np.allclose(rep.vertex_out[:8], rep.vertex_in[8:], rtol=0.0, atol=1e-14)
+    assert calls == [(2, 3, 3), (1, 3, 3)]
+    assert np.allclose(rep.vertex_out[:8], rep.vertex_in[8:16], rtol=0.0, atol=1e-14)
+    assert rep.vertex_out[16:].tolist() == rep.vertex_out[:8].tolist()
     assert_matches_svd(G)
 
 
@@ -251,14 +260,7 @@ def test_permuted_union_reports_each_piece(split_example):
 
 
 def test_complete_components_need_no_eigensolve(monkeypatch):
-    calls = []
-    real = dgspec.densela.sym_eigen
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(dgspec.densela, "sym_eigen", counting)
+    calls = count_stacks(monkeypatch)
     G = disjoint_union(gen_kbip(2, 3), gen_cycle(7), gen_path(4), gen_kbip(1, 4), gen_kbip(3, 1), new_digraph(2, []))
     rep = energy_report(G)
     bounds_certificate(G)

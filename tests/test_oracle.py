@@ -1,17 +1,24 @@
+import math
 import os
 
+import numpy as np
 import pytest
 
 from dgspec import (
     bounds_certificate,
     check_graph,
     double,
+    energy_report,
     enumerate_digraphs,
     gen_cycle,
+    gen_random,
     new_digraph,
     sweep,
+    undirected_energy,
 )
 from dgspec import oracle
+from dgspec.energy import _decompose
+from dgspec.hermitian import _energies
 from dgspec.errors import BadParameterError
 from dgspec.oracle import PROPERTY_NAMES, PropertyResult, arc_pairs, digraph_of_code
 
@@ -177,6 +184,55 @@ def test_sweep_rejects_bad_max_n():
         sweep(0)
     with pytest.raises(BadParameterError):
         sweep(6)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_n": 2.0},
+        {"max_n": "2"},
+        {"max_n": 2, "jobs": 0},
+        {"max_n": 2, "jobs": -3},
+        {"max_n": 2, "jobs": 1.0},
+        {"max_n": 2, "tol": math.nan},
+        {"max_n": 2, "tol": math.inf},
+        {"max_n": 2, "tol": -1e-9},
+    ],
+)
+def test_sweep_checks_its_arguments(kwargs):
+    with pytest.raises(BadParameterError):
+        sweep(**kwargs)
+
+
+def test_sweep_takes_integer_like_counts():
+    assert sweep(np.int64(2), jobs=np.int64(1), tol=0.0).total == 5
+
+
+def report_bits(rep) -> tuple:
+    return rep.sigma.tobytes(), rep.total.hex(), rep.vertex_out.tobytes(), rep.vertex_in.tobytes()
+
+
+def test_sweep_batches_give_the_bits_of_one_graph_at_a_time():
+    for n in range(1, 5):
+        count = 1 << (n * (n - 1))
+        primed = oracle._primed_digraphs(n, 0, count)
+        for code, G in zip(range(count), primed, strict=True):
+            alone = digraph_of_code(n, code)  # a fresh graph with cold caches
+            assert G == alone
+            assert report_bits(energy_report(G)) == report_bits(energy_report(alone)), (n, code)
+            assert undirected_energy(double(G)).hex() == undirected_energy(double(alone)).hex(), (n, code)
+
+
+def test_mixed_batch_gives_the_bits_of_one_graph_at_a_time():
+    def graphs():
+        return [gen_random(n, p, seed) for n in (10, 50, 120) for p in (0.05, 0.2, 0.6) for seed in range(4)]
+
+    batch, alone = graphs(), graphs()
+    for G, rep in zip(alone, _decompose(batch), strict=True):
+        assert report_bits(rep) == report_bits(_decompose([G])[0])
+    doubles = [double(G) for G in batch]
+    for H, energy in zip(doubles, _energies(doubles), strict=True):
+        assert energy.hex() == _energies([H])[0].hex()
 
 
 def test_lower_equality_counts_cross_validate():

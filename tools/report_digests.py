@@ -6,7 +6,10 @@ Each line is a set name and the first 8 hex digits of the sha256 of every
 report of that set, each ``emit_report(G, kind)`` plus a newline, over the
 graphs in order and the kinds in ``REPORT_KINDS`` order.  The ``check_graph``
 line hashes ``name ok repr(slack) witness`` of every property of every n <= 4
-graph, so it shows a changed witness or slack that the sweep's minima hide.
+graph, so it shows a changed witness or slack that the sweep's minima hide;
+the ``check_graph(batched)`` line hashes the same fields of the same graphs
+as the sweep primes them, a batch of reports and double energies at a time,
+and must equal it.
 The last line hashes the stdout of ``dgspec sweep --max-n 4``.  Run it on two
 checkouts and compare the lines.  BLAS runs on one thread, since a threaded
 reduction may change the last bit.
@@ -26,6 +29,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from dgspec import check_graph, enumerate_digraphs, gen_cycle, gen_path, gen_random  # noqa: E402
 from dgspec.cli import REPORT_KINDS, emit_report, parse_edge_list  # noqa: E402
+from dgspec.oracle import _primed_digraphs  # noqa: E402
 from perfbench.ops import TIMED, make_case  # noqa: E402
 
 
@@ -43,9 +47,9 @@ def bench_inputs(workload: str, ops: int):
             yield parse_edge_list(make_case(workload, seed, TIMED, op).text)
 
 
-def check_digest() -> str:
+def check_digest(graphs) -> str:
     h = hashlib.sha256()
-    for G in SETS["n<=4"]():
+    for G in graphs:
         for name, r in check_graph(G).results.items():
             h.update(f"{name} {r.ok} {r.slack!r} {r.witness}\n".encode())
     return h.hexdigest()[:8]
@@ -65,7 +69,9 @@ SETS = {
 def main() -> None:
     for name, graphs in SETS.items():
         print(f"{name} {report_digest(graphs())}", flush=True)
-    print(f"check_graph {check_digest()}", flush=True)
+    print(f"check_graph {check_digest(SETS['n<=4']())}", flush=True)
+    primed = (G for n in range(1, 5) for G in _primed_digraphs(n, 0, 1 << n * (n - 1)))
+    print(f"check_graph(batched) {check_digest(primed)}", flush=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-m", "dgspec", "sweep", "--max-n", "4"], env=env, capture_output=True, check=True
