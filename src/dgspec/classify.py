@@ -103,7 +103,7 @@ def classify_component(G: Digraph, vertices) -> ComponentKind:
     forced to be a directed path (walk from the unique in-degree-0 vertex)
     or a directed cycle (walk from any vertex until the start returns).
     """
-    verts = sorted(set(vertices))
+    verts = sorted({G._vertex(v) for v in vertices})
     if not verts:
         raise BadParameterError("a component needs at least one vertex")
     vset = set(verts)

@@ -21,10 +21,9 @@ many graphs.  ``sym_eigen``, ``psd_sqrt`` and ``singular_values`` are the
 one-matrix case.  A stack gives every matrix the bits it gets alone: numpy
 runs one LAPACK and one BLAS call per matrix, and BLAS picks its summation
 order from each operand's memory layout.  So each basis is kept F-ordered
-(its columns contiguous), the layout LAPACK's result has once its columns
-are sorted; with C-ordered bases the last bit of about 40 % of the n <= 4
-reports changes.  One copy does the sort and the layout, and the kept
-columns of a basis are a view of its leading columns, never a copy.
+(its columns contiguous), the layout the report bytes were fixed in; with
+C-ordered bases the last bit of about 40 % of the n <= 4 reports changes.
+One copy reverses LAPACK's ascending order and lays the basis out so.
 """
 
 from __future__ import annotations
@@ -91,11 +90,10 @@ def _eigen_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
 
-    order = np.argsort(-eigenvalues, axis=1, kind="stable")
-    eigenvalues = np.take_along_axis(eigenvalues, order, axis=1)
-    # one copy sorts the columns and lays each basis out F-ordered: row j
-    # of basis_t[i] is eigenvector j of S[i]
-    basis_t = vectors.transpose(0, 2, 1)[np.arange(count)[:, None], order]
+    # eigh ascends, so descending is its output reversed; one copy lays each
+    # basis out F-ordered: row j of basis_t[i] is eigenvector j of S[i]
+    eigenvalues = eigenvalues[:, ::-1]
+    basis_t = vectors.transpose(0, 2, 1)[:, ::-1].copy()
     basis = basis_t.transpose(0, 2, 1)
 
     residual = basis_t @ S @ basis
@@ -137,8 +135,6 @@ def _root_spectrum(eigenvalues: np.ndarray) -> np.ndarray:
     deficiency and would otherwise inflate to ~1e-7 noise under the root.
     """
     k = eigenvalues.shape[-1]
-    if eigenvalues.size == 0:
-        return eigenvalues.copy()
     window = np.maximum(eigenvalues[..., :1], 0.0) * k * np.finfo(float).eps
     floor = np.minimum(PSD_TOL, -window)
     lowest = eigenvalues[..., -1:]
@@ -170,27 +166,17 @@ def _gram_energies(B: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     has dimension k.  With s = sqrt(L), the diagonal on M's side is
     (Q**2) @ s; on the other side diag((M^T M)^(1/2))_j = sum over s_i > 0
     of (q_i^T m_j)^2 / s_i, because the right singular vectors are
-    M^T q_i / s_i.  No k x k root is built.  s descends, so the kept roots
-    are a prefix of length p, and each group of matrices with one p runs
-    on the leading p columns of its bases.
+    M^T q_i / s_i.  No k x k root is built; a zero root gets a zero
+    reciprocal, which drops its row of Q^T M from the sum.
     """
-    count, r, c = B.shape
-    wide = r <= c
+    wide = B.shape[1] <= B.shape[2]
     M = B if wide else B.transpose(0, 2, 1)
     eigenvalues, basis, _ = _eigen_stack(M @ M.transpose(0, 2, 1))
     s = _root_spectrum(eigenvalues)
     solved = ((basis**2) @ s[:, :, None])[:, :, 0]
-    other = np.zeros((count, M.shape[2]))
-    kept = np.count_nonzero(s > 0.0, axis=1).tolist()
-    basis_t = basis.transpose(0, 2, 1)
-    for p in set(kept) - {0}:
-        if kept.count(p) == count:
-            sel, Q_t, Mp, sp = slice(None), basis_t, M, s
-        else:
-            sel = [i for i, q in enumerate(kept) if q == p]
-            Q_t, Mp, sp = basis_t[sel], M[sel], s[sel]
-        projected = Q_t[:, :p] @ Mp
-        other[sel] = ((projected**2).transpose(0, 2, 1) @ (1.0 / sp[:, :p, None]))[:, :, 0]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0.0)
+    projected = basis.transpose(0, 2, 1) @ M
+    other = ((projected**2).transpose(0, 2, 1) @ inverse[:, :, None])[:, :, 0]
     return (s, solved, other) if wide else (s, other, solved)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -41,6 +42,8 @@ class Digraph:
             raise BadParameterError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise BadParameterError(f"vertex count must be nonnegative, got {n}")
+        if n > sys.maxsize:  # no sequence of n entries could be built
+            raise BadParameterError(f"vertex count {n} exceeds the largest supported {sys.maxsize}")
         if type(arcs) is not tuple:
             raise BadParameterError(f"arcs must be a tuple, got {type(arcs).__name__}")
         for arc in arcs:  # types first: the order test below compares the pairs
@@ -102,12 +105,14 @@ class Digraph:
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         """Vertices w with an arc v -> w, ascending."""
-        self._check_vertex(v)
-        return self._out_adj[v]
+        return self._out_adj[self._vertex(v)]
 
-    def _check_vertex(self, v: int) -> None:
+    def _vertex(self, v) -> int:
+        """A vertex label as a plain int in 0..n-1, converted as ``_count`` converts."""
+        v = _count(v, "vertex")
         if not 0 <= v < self.n:
             raise OutOfRangeError(f"vertex {v} outside 0..{self.n - 1}")
+        return v
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ table ``_TOL_SCALE``: an inequality holds when its margin is at least
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -137,13 +138,21 @@ def enumerate_digraphs(n: int):
     return (digraph_of_code(n, code) for code in range(1 << (n * (n - 1))))
 
 
+def _check_tol(tol) -> None:
+    """Refuse a ``tol`` that is not a finite real number >= 0."""
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
+        raise BadParameterError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def check_graph(G: Digraph, tol: float = DEFAULT_TOL) -> CheckOutcome:
     """Evaluate the twelve properties on one digraph.
 
     Failures are recorded in the outcome, never raised; every proved
     property must hold for every simple digraph, so a failure indicates
-    an implementation bug somewhere in the pipeline.
+    an implementation bug somewhere in the pipeline.  A ``tol`` that is not
+    a finite real number >= 0 raises BadParameterError.
     """
+    _check_tol(tol)
     rep = energy_report(G)
     cert = bounds_certificate(G)
     results: dict[str, PropertyResult] = {}
@@ -261,16 +270,15 @@ def sweep(max_n: int, tol: float = DEFAULT_TOL, jobs: int = 1) -> SweepSummary:
     ``jobs`` > 1 partitions the code space across worker processes, at most
     one per CPU and one per task; the merge is associative, so the summary
     is identical for any job count.  A count that is not an integer, a
-    ``jobs`` below 1 and a ``tol`` that is not a finite number >= 0 raise
-    BadParameterError.
+    ``jobs`` below 1 and a ``tol`` that is not a finite real number >= 0
+    raise BadParameterError.
     """
     max_n, jobs = _count(max_n), _count(jobs, "jobs")
     if not 1 <= max_n <= MAX_ENUM_N:
         raise BadParameterError(f"sweep supports 1..{MAX_ENUM_N} vertices, got {max_n}")
     if jobs < 1:
         raise BadParameterError(f"jobs must be >= 1, got {jobs}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise BadParameterError(f"tol must be finite and >= 0, got {tol}")
+    _check_tol(tol)
     workers = min(jobs, os.cpu_count() or 1)
     tasks = []
     for n in range(1, max_n + 1):

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (plain lists, closed forms, direct
 counting) so the values it produces do not share a code path with the
-package under test.  ``relabel`` builds test inputs, not expected values.
+package under test.  ``relabel`` and ``blow_up`` build test inputs, not
+expected values.
 """
 
 import json
@@ -14,6 +15,14 @@ from dgspec import new_digraph
 def relabel(G, perm):
     """G with vertex v renamed perm[v]; perm may hold numpy integers."""
     return new_digraph(G.n, ((perm[u], perm[v]) for u, v in G.arcs))
+
+
+def blow_up(G, t):
+    """G[t]: vertex v becomes the t twins v*t .. v*t + t-1, and every arc
+    (u, v) the t*t arcs from each twin of u to each twin of v."""
+    return new_digraph(
+        G.n * t, ((u * t + i, v * t + j) for u, v in G.arcs for i in range(t) for j in range(t))
+    )
 
 
 def eig_2x2_sym(S):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import dgspec.classify
@@ -21,7 +22,7 @@ from dgspec import (
     verify_splitting,
     weak_components,
 )
-from dgspec.errors import BadParameterError
+from dgspec.errors import BadParameterError, OutOfRangeError
 from dgspec.hermitian import undirected_degrees
 
 
@@ -130,6 +131,20 @@ def test_classify_component_isolated():
     assert single.vertices == (2,)
     with pytest.raises(BadParameterError):
         classify_component(gen_cycle(3), [])
+
+
+def test_classify_component_takes_labels_as_new_digraph_does():
+    G = gen_cycle(4)
+    for labels in ([True], [np.int64(1)], [1, True]):
+        kind = classify_component(G, labels)
+        assert kind.vertices == (1,) and all(type(v) is int for v in kind.vertices)
+    whole = classify_component(G, [np.int32(3), 2, True, np.int64(0)])
+    assert whole == classify_component(G, range(4))
+    for labels in ([1.5], [1.0], [0, "1"]):
+        with pytest.raises(BadParameterError):
+            classify_component(G, labels)
+    with pytest.raises(OutOfRangeError):
+        classify_component(G, [4])
 
 
 def test_classify_component_two_cycle():

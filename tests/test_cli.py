@@ -10,6 +10,7 @@ import pytest
 import dgspec
 from dgspec import gen_cycle, gen_kbip, new_digraph
 from dgspec.cli import (
+    REPORT_KINDS,
     build_parser,
     emit_report,
     main,
@@ -373,3 +374,12 @@ def test_main_bounds_huge_label_is_one_block(monkeypatch, capsys):
     assert captured.err == ""
     data = json.loads(captured.out)
     assert data["n"] == 100000 and data["energy"] == 1.0 and data["lower_equal"]
+
+
+@pytest.mark.parametrize("which", REPORT_KINDS)
+@pytest.mark.parametrize("text", ["99999999999999999999 0\n", "n 99999999999999999999\n"])
+def test_main_count_past_sys_maxsize_exits_2(which, text, monkeypatch, capsys):
+    # refused by the constructor before any per-vertex sequence is built
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main([which, "-"]) == 2
+    assert "vertex count" in assert_one_error_line(capsys)

@@ -2,7 +2,9 @@
 
 Whatever bytes arrive, ``main`` exits 0 with one JSON document on stdout, or
 exits 2 with exactly one ``error:`` line on stderr and nothing on stdout.
-Labels stay small, so no input asks for a large matrix.
+Labels stay small, so no input asks for a large matrix, or are 2**63 and
+up, which the constructor refuses before it builds anything.  Labels between
+about 1e7 and 2**63 would allocate before they fail, so none is drawn.
 """
 
 import json
@@ -12,7 +14,7 @@ from dgspec import new_digraph
 from dgspec.cli import REPORT_KINDS, main, parse_edge_list, serialize_edge_list
 
 ALPHABET = b"0123456789  n#-+_\t\r\n\n\n.x\xc2\xb2\xff"
-TOKENS = ["n", "0", "1", "2", "3", "7", "12", "00", "-1", "-0", "+3", "1_0", "1.5", "0x1", "x", "#", "#c", "²", "٣"]
+TOKENS = ["n", "0", "1", "2", "3", "7", "12", "00", "-1", "-0", "+3", "1_0", "1.5", "0x1", "x", "#", "#c", "²", "٣", str(2**63), "99999999999999999999"]
 
 
 def random_bytes(rng):

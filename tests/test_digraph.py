@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,9 @@ def test_constructor_refuses_non_canonical_arcs():
         (3, ((0, 1, 2),), BadParameterError),
         (2.0, (), BadParameterError),
         (-1, (), BadParameterError),
+        # no sequence of that many degrees could be built
+        (sys.maxsize + 1, (), BadParameterError),
+        (10**20, ((0, 10**20 - 1),), BadParameterError),
     ):
         with pytest.raises(error):
             Digraph(n, arcs)
@@ -129,6 +133,16 @@ def test_neighbors(digon_triangle):
     assert digon_triangle.out_neighbors(0) == (1, 2)
     with pytest.raises(OutOfRangeError):
         digon_triangle.out_neighbors(3)
+    with pytest.raises(OutOfRangeError):
+        digon_triangle.out_neighbors(-1)
+
+
+def test_neighbors_take_labels_as_new_digraph_does():
+    G = gen_cycle(4)
+    assert G.out_neighbors(np.int64(1)) == G.out_neighbors(True) == (2,)
+    for label in (1.0, 1.5, "1", None):
+        with pytest.raises(BadParameterError):
+            G.out_neighbors(label)
 
 
 def test_weak_components_path_plus_isolated():

@@ -197,11 +197,24 @@ def test_sweep_rejects_bad_max_n():
         {"max_n": 2, "tol": math.nan},
         {"max_n": 2, "tol": math.inf},
         {"max_n": 2, "tol": -1e-9},
+        {"max_n": 2, "tol": "1e-9"},
     ],
 )
 def test_sweep_checks_its_arguments(kwargs):
     with pytest.raises(BadParameterError):
         sweep(**kwargs)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-9, "1e-9", None, 1e-9j])
+def test_check_graph_refuses_the_tolerances_sweep_refuses(tol):
+    # a NaN window would fail every property, a negative one every identity
+    with pytest.raises(BadParameterError):
+        check_graph(gen_cycle(3), tol=tol)
+
+
+def test_check_graph_takes_any_finite_real_tolerance():
+    for tol in (0.0, 0, np.float64(1e-9), 1e-3):
+        assert check_graph(gen_cycle(3), tol=tol).ok()
 
 
 def test_sweep_takes_integer_like_counts():

@@ -8,8 +8,9 @@ graphs in order and the kinds in ``REPORT_KINDS`` order.  The ``check_graph``
 line hashes ``name ok repr(slack) witness`` of every property of every n <= 4
 graph, so it shows a changed witness or slack that the sweep's minima hide;
 the ``check_graph(batched)`` line hashes the same fields of the same graphs
-as the sweep primes them, a batch of reports and double energies at a time,
-and must equal it.
+as the sweep primes them, a batch of reports and double energies at a time.
+The two must be equal: when they differ the script says so on stderr and
+exits 1, after printing every line.
 The last line hashes the stdout of ``dgspec sweep --max-n 4``.  Run it on two
 checkouts and compare the lines.  BLAS runs on one thread, since a threaded
 reduction may change the last bit.
@@ -66,18 +67,24 @@ SETS = {
 }
 
 
-def main() -> None:
+def main() -> int:
     for name, graphs in SETS.items():
         print(f"{name} {report_digest(graphs())}", flush=True)
-    print(f"check_graph {check_digest(SETS['n<=4']())}", flush=True)
+    alone = check_digest(SETS["n<=4"]())
+    print(f"check_graph {alone}", flush=True)
     primed = (G for n in range(1, 5) for G in _primed_digraphs(n, 0, 1 << n * (n - 1)))
-    print(f"check_graph(batched) {check_digest(primed)}", flush=True)
+    batched = check_digest(primed)
+    print(f"check_graph(batched) {batched}", flush=True)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-m", "dgspec", "sweep", "--max-n", "4"], env=env, capture_output=True, check=True
     ).stdout
     print(f"sweep {hashlib.sha256(out).hexdigest()[:8]}")
+    if batched != alone:
+        print(f"check_graph(batched) {batched} differs from check_graph {alone}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
