@@ -23,11 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+
+import numpy as np
 
 from .classify import classify_lower_equality, classify_upper_equality
 from .digraph import Digraph, degree_profile, gen_cycle, gen_kbip, gen_path, gen_random
@@ -40,11 +43,50 @@ from .randic import DEFAULT_TOL, bounds_certificate, randic_index
 REPORT_KINDS = ("energy", "randic", "bounds", "double", "classify")
 
 
+# Plain text, the form ``serialize_edge_list`` writes: an optional ``n``
+# line, then one ``<u> <v>`` line per arc, ASCII digits and single spaces,
+# every line ended by "\n".  18 digits stay below 2**63.
+_PLAIN_HEAD = re.compile(r"n ([0-9]{1,18})\n")
+_PLAIN_ARC = re.compile(r"[0-9]{1,18} [0-9]{1,18}\n")
+_KEY_MAX = int(np.iinfo(np.int64).max)
+
+
 def parse_edge_list(text: str) -> Digraph:
     """Parse edge-list text into a digraph, reporting line-accurate errors.
 
     Tokens such as ``+3`` or ``1_0``, which ``int`` would take, are refused.
+    Plain text is read in one vectorised pass; anything that pass refuses
+    goes through the line-by-line reader, so both give the same graph and
+    the same errors.
     """
+    G = _parse_plain(text)
+    return G if G is not None else _parse_lines(text)
+
+
+def _parse_plain(text: str) -> Digraph | None:
+    """The digraph of plain text (described above ``_PLAIN_HEAD``), or None
+    when the text is not plain or holds a label outside 0..n-1, a loop or a
+    repeated arc."""
+    head = _PLAIN_HEAD.match(text)
+    body = text[head.end() :] if head else text
+    # the body is plain when its arc lines cover it: a match scan keeps no
+    # per-line state, where one fullmatch of a repeated group stacks some
+    if _PLAIN_ARC.sub("", body):
+        return None
+    labels = np.fromstring(body, dtype=np.int64, sep=" ")
+    tails, heads = labels[0::2], labels[1::2]
+    n = int(head[1]) if head else 1 + int(labels.max(initial=-1))
+    if n * n > _KEY_MAX or np.any(tails == heads) or np.any(labels >= n):
+        return None
+    keys = np.sort(tails * n + heads)
+    if np.any(keys[1:] == keys[:-1]):
+        return None
+    tails, heads = np.divmod(keys, n)
+    return Digraph(n, tuple(zip(tails.tolist(), heads.tolist())))
+
+
+def _parse_lines(text: str) -> Digraph:
+    """``parse_edge_list`` one line at a time: any text, line-accurate errors."""
     declared_n: int | None = None
     # a dict keeps input order, so sorting an already sorted list is one pass
     seen: dict[tuple[int, int], None] = {}

@@ -80,12 +80,14 @@ def _decompose(graphs: Sequence[Digraph]) -> list[EnergyReport]:
             else:
                 groups.setdefault((r, c), []).append((g, part))
     for (r, c), members in groups.items():
-        B = np.zeros((len(members), r, c))
+        # the flat index of every arc of the stack, so one store fills it
+        index: list[int] = []
         for i, (_, (sources, sinks, arcs)) in enumerate(members):
-            row = {v: j for j, v in enumerate(sources)}
+            row = {v: (i * r + j) * c for j, v in enumerate(sources)}
             col = {v: j for j, v in enumerate(sinks)}
-            for u, v in arcs:
-                B[i, row[u], col[v]] = 1.0
+            index.extend([row[u] + col[v] for u, v in arcs])
+        B = np.zeros((len(members), r, c))
+        B.reshape(-1)[index] = 1.0
         for (g, part), sigma, out_e, in_e in zip(members, *_gram_energies(B)):
             values[g].extend(sigma.tolist())
             vertex_outs[g][list(part.sources)] = out_e

@@ -30,7 +30,7 @@ class NotPSDError(DgspecError, ValueError):
 
 
 class NoConvergenceError(DgspecError, RuntimeError):
-    """The eigensolver did not reach the requested off-diagonal residual."""
+    """The eigensolver did not reach the requested eigenpair residual."""
 
 
 class ParseError(DgspecError, ValueError):

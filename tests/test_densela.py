@@ -229,3 +229,25 @@ def test_stacked_gram_energies_are_the_bits_of_one_matrix_at_a_time():
             for got, want in zip(stacked, alone):
                 assert got[i].tobytes() == want[0].tobytes()
         assert singular_values(B[2]).tobytes() == stacked[0][2].tobytes()
+
+
+def test_residual_ties_each_eigenvalue_to_its_vector(monkeypatch):
+    # eigh's eigenvalues reversed against its vectors: Q^T S Q is still
+    # diagonal, so only a residual that pairs l_j with q_j can see it
+    eigh = np.linalg.eigh
+
+    def mispaired(S):
+        eigenvalues, vectors = eigh(S)
+        return eigenvalues[..., ::-1], vectors
+
+    rng = np.random.default_rng(30)
+    M = rng.normal(size=(3, 5, 5))
+    stack = M + M.transpose(0, 2, 1)
+    _, vectors = eigh(stack)
+    rotated = vectors.transpose(0, 2, 1) @ stack @ vectors
+    assert np.allclose(rotated, rotated * np.eye(5), atol=1e-12)
+    monkeypatch.setattr(dgspec.densela.np.linalg, "eigh", mispaired)
+    with pytest.raises(NoConvergenceError):
+        _eigen_stack(stack)
+    with pytest.raises(NoConvergenceError):
+        sym_eigen(GOOD)

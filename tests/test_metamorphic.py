@@ -7,6 +7,9 @@ may differ only by rounding, held here to 1e-12 relative:
 - relabelling: the singular values are equal and the vertex energies move
   with their vertices;
 - reversal: the singular values are equal and E+ swaps with E-;
+- disjoint union: the singular values are the two multisets joined and the
+  vertex energies are the two vectors concatenated.  Same-shape small
+  blocks of the two graphs are solved in one stack;
 - blow-up G[t], every vertex replaced by t twins and every arc by the t*t
   arcs between them: each block becomes B kron J_t, so sigma, E and R scale
   by t and every vertex energy is unchanged.  Its blocks have exactly
@@ -17,7 +20,7 @@ may differ only by rounding, held here to 1e-12 relative:
 import numpy as np
 import pytest
 
-from dgspec import energy_report, gen_random, randic_index, reverse
+from dgspec import disjoint_union, energy_report, gen_random, randic_index, reverse
 
 from _oracles import blow_up, relabel
 
@@ -57,6 +60,15 @@ def test_reversal_swaps_outer_and_inner_energies(graph):
     assert_close(flipped.sigma, rep.sigma)
     assert_close(flipped.vertex_out, rep.vertex_in)
     assert_close(flipped.vertex_in, rep.vertex_out)
+
+
+def test_disjoint_union_joins_spectra_and_concatenates_vertex_energies(graph):
+    other = gen_random(300, 0.004, 6)
+    rep, rep_other = energy_report(graph), energy_report(other)
+    union = energy_report(disjoint_union(graph, other))
+    assert_close(union.sigma, np.sort(np.concatenate([rep.sigma, rep_other.sigma]))[::-1])
+    assert_close(union.vertex_out, np.concatenate([rep.vertex_out, rep_other.vertex_out]))
+    assert_close(union.vertex_in, np.concatenate([rep.vertex_in, rep_other.vertex_in]))
 
 
 @pytest.mark.parametrize("t", [2, 3])
